@@ -1,17 +1,16 @@
 //! Overhead of the diagnostics plumbing on *clean* inputs.
 //!
-//! The hardened pipeline threads a diagnostics sink through parsing and
-//! resource guards through propagation. Both are designed to cost
-//! nothing when nothing goes wrong: the sink allocates no storage until
-//! the first diagnostic, and the guarded engine only materializes node
-//! lists on error paths. This bench quantifies that claim by timing the
-//! strict (pre-hardening) entry points against the recovering/guarded
-//! ones on identical clean inputs — the ratios should sit within
-//! run-to-run noise of 1.0.
+//! The hardened parser threads a diagnostics sink through parsing,
+//! designed to cost nothing when nothing goes wrong: the sink allocates
+//! no storage until the first diagnostic. This bench quantifies that
+//! claim by timing the strict (pre-hardening) entry point against the
+//! recovering one on identical clean input — the ratio should sit
+//! within run-to-run noise of 1.0. It also times a clean propagation,
+//! which must allocate no diagnostics.
 
 use tv_bench::harness::bench;
 use tv_clocks::qualify::qualify_with_flow;
-use tv_core::{propagate_guarded, propagate_with, Guards, SOURCE_RESISTANCE};
+use tv_core::{propagate_with, SOURCE_RESISTANCE};
 use tv_core::{DelayModel, PhaseCase, TimingGraph};
 use tv_flow::{analyze, RuleSet};
 use tv_gen::random::{random_logic, RandomMix};
@@ -69,27 +68,12 @@ fn main() {
         .collect();
     let slope = SlopeModel::calibrated();
 
-    let plain = bench("propagate (historical entry)", 30, || {
-        propagate_with(&nl, &graph, &sources, &endpoints, &slope, 1)
-    });
-    let guarded = bench("propagate_guarded (default guards)", 30, || {
-        let r = propagate_guarded(
-            &nl,
-            &graph,
-            &sources,
-            &endpoints,
-            &slope,
-            1,
-            Guards::default(),
-        );
+    bench("propagate (clean input)", 30, || {
+        let r = propagate_with(&nl, &graph, &sources, &endpoints, &slope, 1);
         assert!(
             r.diagnostics.is_empty(),
             "clean run allocates no diagnostics"
         );
         r
     });
-    println!(
-        "propagate overhead: {:.3}x (guarded / historical medians)",
-        guarded.median_ms / plain.median_ms
-    );
 }

@@ -1,23 +1,22 @@
 //! The analyzer facade: one call from netlist to full timing report.
 //!
-//! Since the pass-pipeline refactor this type is a thin shim over
-//! [`crate::pipeline`]: each call runs a throwaway
-//! [`crate::pipeline::PassManager`] whose every pass computes cold, which
-//! is byte-for-byte the pre-pipeline behavior. Hold a `PassManager` over
-//! a [`tv_netlist::Design`] instead when you re-analyze after edits.
+//! This type is a thin shim over [`crate::pipeline`]: each call runs a
+//! fresh [`crate::pipeline::PassManager`] once under a unique stamp, so
+//! every pass computes cold. Hold a `PassManager` over a
+//! [`tv_netlist::Design`] instead when you re-analyze after edits.
 
 use tv_clocks::latch::Latch;
 use tv_clocks::qualify::qualify_with_flow;
 use tv_flow::{Census, FlowReport};
-use tv_netlist::{Diagnostic, Netlist, NodeId, NodeRole};
+use tv_netlist::{DesignStamp, Diagnostic, Netlist, NodeId, NodeRole};
 
 use crate::checks::CheckIssue;
 use crate::error::TvError;
 use crate::graph::{PhaseCase, TimingGraph};
 use crate::hold::RaceHazard;
-use crate::incremental::IncrementalCache;
 use crate::options::AnalysisOptions;
 use crate::paths::TimingPath;
+use crate::pipeline::PassManager;
 use crate::propagate::{propagate, Completion, PhaseResult};
 
 /// Assumed driver resistance of primary inputs, kΩ (a strong pad driver).
@@ -144,19 +143,10 @@ impl<'a> Analyzer<'a> {
     ///
     /// With [`AnalysisOptions::jobs`] above one, graph construction and
     /// the levelized propagation fan out across threads (bit-identical
-    /// results). With [`AnalysisOptions::incremental`] set, a transient
-    /// [`IncrementalCache`] lets later cases of this run reuse the clean
-    /// cones of earlier ones; hold a cache across runs with
-    /// [`Analyzer::run_incremental`] to also reuse work after a netlist
-    /// edit.
+    /// results).
     pub fn run(&self, options: &AnalysisOptions) -> TimingReport {
-        let r = if options.incremental {
-            let mut cache = IncrementalCache::new();
-            crate::pipeline::oneshot(self.netlist, options, Some(&mut cache), false)
-        } else {
-            crate::pipeline::oneshot(self.netlist, options, None, false)
-        };
-        r.expect("size limits are only enforced by try_run")
+        self.run_once(options, false)
+            .expect("size limits are only enforced by try_run")
     }
 
     /// [`Analyzer::run`] with the size guards enforced: refuses (with
@@ -168,25 +158,21 @@ impl<'a> Analyzer<'a> {
     /// [`TimingReport::diagnostics`] explaining what is missing; chain
     /// [`TimingReport::strict`] to turn that into an error too.
     pub fn try_run(&self, options: &AnalysisOptions) -> Result<TimingReport, TvError> {
-        if options.incremental {
-            let mut cache = IncrementalCache::new();
-            crate::pipeline::oneshot(self.netlist, options, Some(&mut cache), true)
-        } else {
-            crate::pipeline::oneshot(self.netlist, options, None, true)
-        }
+        self.run_once(options, true)
     }
 
-    /// [`Analyzer::run`] against a caller-held [`IncrementalCache`]:
-    /// only the forward cone of whatever changed since the cache's last
-    /// run is recomputed. The report is bit-identical to a cold
-    /// [`Analyzer::run`].
-    pub fn run_incremental(
+    fn run_once(
         &self,
         options: &AnalysisOptions,
-        cache: &mut IncrementalCache,
-    ) -> TimingReport {
-        crate::pipeline::oneshot(self.netlist, options, Some(cache), false)
-            .expect("size limits are only enforced by try_run")
+        enforce_limits: bool,
+    ) -> Result<TimingReport, TvError> {
+        PassManager::new().analyze_inner(
+            self.netlist,
+            DesignStamp::unique(),
+            None,
+            options,
+            enforce_limits,
+        )
     }
 }
 

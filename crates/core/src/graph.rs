@@ -525,10 +525,14 @@ pub(crate) struct SpannedBuild {
 /// their delay values, so each root's new arcs must match its recorded
 /// span in count, endpoints, kind, and inversion — all of which this
 /// function verifies arc by arc before overwriting anything within the
-/// span. On any mismatch (or a panic inside a stage build) it returns
-/// `Err` and the caller must discard the graph and rebuild from scratch:
-/// earlier affected roots may already have been overwritten, so an `Err`
-/// graph is *not* restored to its prior state.
+/// span. The target of every arc whose delay or τ words change (compared
+/// bit for bit) is pushed onto `changed`, in arc order with repeats:
+/// exactly the nodes whose in-arc words differ after the splice. On any
+/// mismatch (or a panic inside a stage build) it returns `Err` and the
+/// caller must discard the graph and rebuild from scratch: earlier
+/// affected roots may already have been overwritten, so an `Err` graph
+/// is *not* restored to its prior state.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn splice_roots(
     graph: &mut TimingGraph,
     builder: &GraphBuilder<'_>,
@@ -537,6 +541,7 @@ pub(crate) fn splice_roots(
     spans: &[u32],
     affected: &[u32],
     scratch: &mut BuildScratch,
+    changed: &mut Vec<u32>,
 ) -> Result<(), ()> {
     let mut fresh: Vec<Arc> = Vec::new();
     for &k in affected {
@@ -555,6 +560,11 @@ pub(crate) fn splice_roots(
         for (o, f) in old.iter_mut().zip(fresh.drain(..)) {
             if o.from != f.from || o.to != f.to || o.kind != f.kind || o.inverting != f.inverting {
                 return Err(());
+            }
+            let words =
+                |a: &Arc| [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits);
+            if words(o) != words(&f) {
+                changed.push(f.to.index() as u32);
             }
             *o = f;
         }

@@ -1,45 +1,29 @@
-//! Incremental invalidation: arrival memoization keyed by stage
-//! fingerprints.
+//! Arrival reuse driven by splice certificates.
 //!
-//! Each node's **fingerprint** hashes everything that determines its
-//! local evaluation: whether it is a source in the analyzed case, and
-//! for every in-arc (in arc-id order) the upstream node id, the four
-//! delay/τ words, the inversion flag, and the arc kind. By induction
-//! over topological levels, if no node in a node's ancestry changed its
-//! fingerprint between two runs, its arrival is **bit-identical** — so a
-//! re-run only needs to recompute the forward cone of fingerprint
-//! changes (the *dirty cone*) and can copy everything else from the
-//! cache. This holds against *any* cached baseline, which is what lets
-//! phase φ2 seed from phase φ1's result inside a single run: shared
-//! input cones come over for free, and only clock/latch-dependent logic
-//! is re-propagated.
+//! The graph pass hands each arrival pass a [`CaseDelta`]: the graph
+//! fingerprint the arcs now reflect and, when the pass reused,
+//! revalidated or spliced its graph, the fingerprint they reflected
+//! before plus exactly which nodes have an in-arc whose delay/τ words
+//! changed in between. The cache keeps one arrival snapshot per
+//! residue-free case, tagged with the graph fingerprint it was taken
+//! under. A certificate naming that fingerprint is served by
+//! [`crate::propagate`]'s demand-driven cone engine: only the fanout
+//! closure of the listed nodes is re-relaxed, everything else is copied
+//! from the snapshot, bit-identical to the full walk.
 //!
-//! Invalidation rules:
-//!
-//! * a node is **dirty** when its fingerprint differs from the baseline
-//!   (or the baseline has no entry for it);
-//! * the **affected set** is the forward closure of the dirty set over
-//!   out-arcs; everything outside it is copied from the cache;
-//! * a configuration change that bypasses the graph (the slope model)
-//!   or rebuilds it wholesale (the delay model) clears the cached
-//!   arrivals — but the two are tracked as **separate keys**, because
-//!   they invalidate different amounts of the surrounding pipeline: a
-//!   slope change leaves every graph-shaped stage (flow, latches, the
-//!   timing graphs themselves) valid, while a delay-model change
-//!   invalidates the graphs too. [`IncrementalCache::begin_run`] reports
-//!   which happened as a [`ConfigEffect`] so callers holding
-//!   graph-granular state (the pass pipeline) keep what they may;
-//! * graphs with a cyclic residue always recompute — the worklist
-//!   relaxation has no per-node reuse story.
+//! Everything else is a plain full walk: a rebuilt graph (no
+//! certificate), a snapshot the certificate does not name, a case with
+//! a cyclic residue (the worklist relaxation has no per-node reuse
+//! story, so such cases keep no snapshot), an armed deadline, a cone
+//! covering more than half the graph, or a slope-model change (slope
+//! acts at propagation time, where no graph fingerprint sees it, so it
+//! drops every snapshot).
 
 use tv_netlist::{FxHashMap, Netlist, NodeId};
 use tv_rc::SlopeModel;
 
-use crate::graph::{ArcKind, TimingGraph};
-use crate::options::AnalysisOptions;
-use crate::propagate::{
-    propagate_cone, propagate_reuse, CachedCase, Guards, PhaseResult, Reuse, Workspace,
-};
+use crate::graph::TimingGraph;
+use crate::propagate::{propagate_cone, propagate_full, Arrivals, Guards, PhaseResult, Workspace};
 
 /// Which propagation engine served one analysis case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +43,8 @@ pub struct CaseStats {
     pub case: Option<u8>,
     /// Nodes in the graph.
     pub nodes: usize,
-    /// Nodes actually re-evaluated (the affected cone).
+    /// Nodes the certificate left to re-evaluate (the affected cone);
+    /// every node when the case was not certified.
     pub recomputed: usize,
     /// Which engine produced the arrivals.
     pub engine: CaseEngine,
@@ -72,56 +57,31 @@ impl CaseStats {
     }
 }
 
-struct CaseEntry {
-    /// Graph-pass input fingerprint the snapshot was taken under. A
-    /// later run whose graph fingerprint still equals this one has, by
-    /// the stamp counters' monotonicity, an arc-for-arc identical graph
-    /// and source set — so the whole fingerprint/snapshot cycle can be
-    /// skipped, not just the propagation.
-    graph_fp: u64,
-    fingerprints: Vec<u64>,
-    cached: CachedCase,
-}
-
-/// What the graph pass certifies about a case's arcs, handed to
-/// [`IncrementalCache::propagate_case`] so the warm path can skip
-/// re-hashing arcs it is told did not change.
+/// What the graph pass certifies about a case's arcs.
 pub(crate) struct CaseDelta {
     /// Graph-pass input fingerprint the arcs currently reflect.
     pub(crate) graph_fp: u64,
     /// When known: the fingerprint the arcs previously reflected, and
-    /// exactly which node indices may hold different in-arc words now
-    /// (the splice's touched span targets; empty after a reuse or
-    /// revalidation). The certifying pass also guarantees the case's
+    /// exactly the node indices with an in-arc whose delay/τ words
+    /// changed since (empty after a reuse or revalidation). The
+    /// certifying pass also guarantees arc structure and the case's
     /// source and endpoint sets are unchanged across that step. `None`
     /// means a full rebuild — nothing is certified.
     pub(crate) since: Option<(u64, Vec<u32>)>,
 }
 
-/// What a configuration change at the start of a run invalidated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConfigEffect {
-    /// Same slope and delay model as the previous run: every cached case
-    /// is a usable baseline.
-    Unchanged,
-    /// The slope model changed. Cached **arrivals** are stale — slope
-    /// handling acts at propagation time, so arc fingerprints cannot see
-    /// it — but nothing graph-shaped is: arc delays, and therefore the
-    /// flow/latch/graph stages a pipeline keys off them, remain valid.
-    SlopeChanged,
-    /// The delay model changed: arc delays themselves are stale, so both
-    /// the cached arrivals *and* any graph built under the old model are
-    /// invalid.
-    ModelChanged,
+/// A snapshot of one case's finished arrivals.
+struct CaseEntry {
+    /// Graph-pass input fingerprint the snapshot was taken under.
+    graph_fp: u64,
+    arrivals: Arrivals,
 }
 
-/// The incremental-invalidation cache. Hold one across
-/// [`crate::Analyzer::run_incremental`] calls to make re-analysis after
-/// a netlist edit proportional to the edit's cone instead of the chip.
+/// The arrival cache a [`crate::PassManager`] holds across analyses.
 #[derive(Default)]
-pub struct IncrementalCache {
-    slope_key: Option<u64>,
-    model_key: Option<u64>,
+pub(crate) struct IncrementalCache {
+    /// Bits of the slope model the snapshots were computed under.
+    slope: Option<[u64; 2]>,
     cases: FxHashMap<Option<u8>, CaseEntry>,
     stats: Vec<CaseStats>,
     /// Propagation scratch, reused across cases and runs.
@@ -129,71 +89,26 @@ pub struct IncrementalCache {
 }
 
 impl IncrementalCache {
-    /// An empty cache: the first run is a cold run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Reuse statistics of the most recent run, one entry per case in
     /// execution order.
-    pub fn last_stats(&self) -> &[CaseStats] {
+    pub(crate) fn last_stats(&self) -> &[CaseStats] {
         &self.stats
     }
 
-    /// Starts a run: clears per-run stats, and drops the cached arrivals
-    /// if either the slope or the delay model changed since the previous
-    /// run. The two keys are tracked separately and the distinction is
-    /// returned: a slope-only change clears just the arrivals, while a
-    /// model change additionally tells the caller that graphs built
-    /// under the old model are stale.
-    pub(crate) fn begin_run(&mut self, options: &AnalysisOptions) -> ConfigEffect {
+    /// Starts a run: clears per-run stats, and drops every snapshot if
+    /// the slope model changed since the previous run.
+    pub(crate) fn begin_run(&mut self, slope: &SlopeModel) {
         self.stats.clear();
-        let slope = slope_key(options);
-        let model = options.model as u64;
-        let effect = if self.model_key != Some(model) && self.model_key.is_some() {
-            ConfigEffect::ModelChanged
-        } else if self.slope_key != Some(slope) && self.slope_key.is_some() {
-            ConfigEffect::SlopeChanged
-        } else {
-            ConfigEffect::Unchanged
-        };
-        if self.slope_key != Some(slope) || self.model_key != Some(model) {
+        let key = [slope.k_slope.to_bits(), slope.k_transition.to_bits()];
+        if self.slope != Some(key) {
             self.cases.clear();
-            self.slope_key = Some(slope);
-            self.model_key = Some(model);
+            self.slope = Some(key);
         }
-        effect
     }
 
-    /// Drops every cached case (and both configuration keys), forcing
-    /// the next run cold. The propagation workspace survives — it holds
-    /// no results, only capacity.
-    pub fn clear(&mut self) {
-        self.cases.clear();
-        self.slope_key = None;
-        self.model_key = None;
-        self.stats.clear();
-    }
-
-    /// Propagates one case, reusing every clean cone the cache can
-    /// justify, and refreshes the cache with the result.
-    ///
-    /// `delta` is the graph pass's certificate about what changed since
-    /// the previous run; it gates two warm fast paths (both bit-identical
-    /// to the full path by construction):
-    ///
-    /// * the cached entry carries the *current* graph fingerprint — no
-    ///   edit touched this case at all, so the stored fingerprints and
-    ///   snapshot are already exact: materialize the snapshot through
-    ///   the zero-seed cone engine without hashing an arc or
-    ///   re-snapshotting a node;
-    /// * the entry carries the fingerprint the delta says the arcs
-    ///   *previously* reflected — only the delta's listed nodes can have
-    ///   changed, so only they are re-hashed, their fanout closure is
-    ///   re-relaxed by [`crate::propagate`]'s demand-driven cone engine
-    ///   (falling back to the full walk when the cone passes half the
-    ///   graph or a deadline is armed), and the entry is patched in
-    ///   place instead of rebuilt.
+    /// Propagates one case — through the cone engine when `delta`
+    /// certifies a step from this case's snapshot, by a full walk
+    /// otherwise — and refreshes the snapshot with the result.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn propagate_case(
         &mut self,
@@ -209,288 +124,122 @@ impl IncrementalCache {
         let n = netlist.node_count();
         let key = graph.case.active;
         let clean = graph.schedule.residue.is_empty();
+        let IncrementalCache {
+            cases,
+            stats,
+            workspace,
+            ..
+        } = self;
 
         // Fault plane: a forced certificate corruption. Dropping the
-        // cached entry forces every path below onto the cold recompute,
-        // whose result is bit-identical by the cache's own contract —
-        // corruption degrades cost, never answers.
+        // snapshot forces the full walk, whose result is bit-identical
+        // by the cache's own contract — corruption degrades cost, never
+        // answers.
         if tv_fault::fault_point!(tv_fault::Site::CertLookup) {
             tv_obs::incr(tv_obs::Counter::FaultInjected);
             tv_obs::incr(tv_obs::Counter::FaultDegraded);
-            self.cases.remove(&key);
+            cases.remove(&key);
         }
 
-        if clean {
-            if let Some(entry) = self.cases.get(&key) {
-                if entry.graph_fp == delta.graph_fp && entry.fingerprints.len() == n {
-                    let affected = vec![false; n];
-                    // Zero-seed cone: the snapshot is served as-is.
-                    // Only an armed deadline forces the full walk (the
-                    // set of resolved nodes must stay the walk's).
-                    let (result, engine) = if guards.deadline.is_none() {
-                        let r = propagate_cone(
-                            graph,
-                            sources,
-                            endpoints,
-                            slope,
-                            &affected,
-                            &entry.cached,
-                            &mut self.workspace,
-                        );
-                        (r, CaseEngine::Cone)
-                    } else {
-                        tv_obs::incr(tv_obs::Counter::ConeFallbacks);
-                        let reuse = Reuse {
-                            affected: &affected,
-                            cached: &entry.cached,
-                        };
-                        let r = propagate_reuse(
-                            netlist,
-                            graph,
-                            sources,
-                            endpoints,
-                            slope,
-                            jobs,
-                            Some(reuse),
-                            guards,
-                            &mut self.workspace,
-                        );
-                        (r, CaseEngine::Full)
-                    };
-                    tv_obs::incr(tv_obs::Counter::CacheCaseHits);
-                    tv_obs::add(tv_obs::Counter::CacheNodesReused, n as u64);
-                    self.stats.push(CaseStats {
-                        case: key,
-                        nodes: n,
-                        recomputed: 0,
-                        engine,
-                    });
-                    return result;
-                }
+        // The certified seeds: no edit at all when the snapshot already
+        // reflects the current arcs, the splice's changed targets when it
+        // reflects the arcs just before the certified step.
+        let snapshot = cases
+            .get_mut(&key)
+            .filter(|e| clean && e.arrivals.rise.len() == n);
+        let certified = match (snapshot, &delta.since) {
+            (Some(e), _) if e.graph_fp == delta.graph_fp => Some((e, &[][..], true)),
+            (Some(e), Some((prev_fp, changed))) if e.graph_fp == *prev_fp => {
+                Some((e, changed.as_slice(), false))
             }
-        }
+            _ => None,
+        };
 
-        let mut is_source = vec![false; n];
-        for &s in sources {
-            is_source[s.index()] = true;
-        }
-
-        if clean {
-            if let Some((prev_fp, dirty)) = delta.since.as_ref() {
-                let hit = self
-                    .cases
-                    .get(&key)
-                    .is_some_and(|e| e.graph_fp == *prev_fp && e.fingerprints.len() == n);
-                if hit {
-                    let entry = self.cases.get(&key).unwrap();
-                    let fresh: Vec<(usize, u64)> = dirty
-                        .iter()
-                        .map(|&i| i as usize)
-                        .map(|i| (i, node_fingerprint(graph, &is_source, i)))
-                        .collect();
-                    let seeds: Vec<usize> = fresh
-                        .iter()
-                        .filter(|&&(i, fp)| entry.fingerprints[i] != fp)
-                        .map(|&(i, _)| i)
-                        .collect();
-                    let seed_count = seeds.len();
-                    let mut affected = vec![false; n];
-                    for &i in &seeds {
-                        affected[i] = true;
-                    }
-                    graph.fanout_closure(&mut affected, seeds);
-                    let recomputed = affected.iter().filter(|&&d| d).count();
-                    // The cone engine wins while the affected cone is a
-                    // minority of the graph; past half the nodes the
-                    // chunkable full walk is at least as good, and an
-                    // armed deadline always needs the walk's level-
-                    // boundary checks. Both cut-offs depend only on the
-                    // certified edit, never on `jobs` — the work
-                    // counters stay schedule-independent.
-                    let use_cone = guards.deadline.is_none() && recomputed * 2 <= n;
-                    let (result, engine) = if use_cone {
-                        tv_obs::add(tv_obs::Counter::ConeSeeds, seed_count as u64);
-                        let r = propagate_cone(
-                            graph,
-                            sources,
-                            endpoints,
-                            slope,
-                            &affected,
-                            &entry.cached,
-                            &mut self.workspace,
-                        );
-                        (r, CaseEngine::Cone)
-                    } else {
-                        tv_obs::incr(tv_obs::Counter::ConeFallbacks);
-                        let reuse = Reuse {
-                            affected: &affected,
-                            cached: &entry.cached,
-                        };
-                        let r = propagate_reuse(
-                            netlist,
-                            graph,
-                            sources,
-                            endpoints,
-                            slope,
-                            jobs,
-                            Some(reuse),
-                            guards,
-                            &mut self.workspace,
-                        );
-                        (r, CaseEngine::Full)
-                    };
-                    let entry = self.cases.get_mut(&key).unwrap();
-                    entry.graph_fp = delta.graph_fp;
-                    for &(i, fp) in &fresh {
-                        entry.fingerprints[i] = fp;
-                    }
-                    entry
-                        .cached
-                        .update_from_arrivals(graph, &result.arrivals, &affected);
-                    tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
-                    tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
-                    tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
-                    self.stats.push(CaseStats {
-                        case: key,
-                        nodes: n,
-                        recomputed,
-                        engine,
-                    });
-                    return result;
-                }
+        let Some((entry, seeds, hit)) = certified else {
+            let result = propagate_full(
+                netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
+            );
+            if clean {
+                cases.insert(
+                    key,
+                    CaseEntry {
+                        graph_fp: delta.graph_fp,
+                        arrivals: result.arrivals.clone(),
+                    },
+                );
+            } else {
+                cases.remove(&key);
             }
+            tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+            tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
+            stats.push(CaseStats {
+                case: key,
+                nodes: n,
+                recomputed: n,
+                engine: CaseEngine::Full,
+            });
+            return result;
+        };
+
+        let mut affected = vec![false; n];
+        for &i in seeds {
+            affected[i as usize] = true;
         }
-
-        let fps = node_fingerprints(graph, &is_source);
-
-        // Baseline: this case's own entry if present, else any finished
-        // case in a fixed preference order (correct for any baseline).
-        let baseline = if clean {
-            [key, Some(0), Some(1), None]
-                .into_iter()
-                .find_map(|k| self.cases.get(&k))
+        graph.fanout_closure(&mut affected, seeds.iter().map(|&i| i as usize).collect());
+        let recomputed = affected.iter().filter(|&&d| d).count();
+        // The cone engine wins while the affected cone is a minority of
+        // the graph; past half the nodes the chunkable full walk is at
+        // least as good, and an armed deadline always needs the walk's
+        // level-boundary checks. Both cut-offs depend only on the
+        // certified edit, never on `jobs` — the work counters stay
+        // schedule-independent.
+        let (result, engine) = if guards.deadline.is_none() && recomputed * 2 <= n {
+            tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
+            let r = propagate_cone(
+                graph,
+                sources,
+                endpoints,
+                slope,
+                &affected,
+                &entry.arrivals,
+                workspace,
+            );
+            (r, CaseEngine::Cone)
         } else {
-            None
+            tv_obs::incr(tv_obs::Counter::ConeFallbacks);
+            let r = propagate_full(
+                netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
+            );
+            (r, CaseEngine::Full)
         };
 
-        let (result, recomputed) = match baseline {
-            Some(entry) => {
-                let affected = affected_cone(graph, &fps, &entry.fingerprints);
-                let recomputed = affected.iter().filter(|&&d| d).count();
-                let reuse = Reuse {
-                    affected: &affected,
-                    cached: &entry.cached,
-                };
-                let r = propagate_reuse(
-                    netlist,
-                    graph,
-                    sources,
-                    endpoints,
-                    slope,
-                    jobs,
-                    Some(reuse),
-                    guards,
-                    &mut self.workspace,
-                );
-                (r, recomputed)
-            }
-            None => {
-                let r = propagate_reuse(
-                    netlist,
-                    graph,
-                    sources,
-                    endpoints,
-                    slope,
-                    jobs,
-                    None,
-                    guards,
-                    &mut self.workspace,
-                );
-                (r, n)
-            }
-        };
-
-        self.cases.insert(
-            key,
-            CaseEntry {
-                graph_fp: delta.graph_fp,
-                fingerprints: fps,
-                cached: CachedCase::from_arrivals(graph, &result.arrivals),
-            },
-        );
-        tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+        // Clean rows are bit-identical to what the snapshot holds: copy
+        // only the affected ones.
+        entry.graph_fp = delta.graph_fp;
+        let (old, new) = (&mut entry.arrivals, &result.arrivals);
+        for i in (0..n).filter(|&i| affected[i]) {
+            old.rise[i] = new.rise[i];
+            old.fall[i] = new.fall[i];
+            old.trans_rise[i] = new.trans_rise[i];
+            old.trans_fall[i] = new.trans_fall[i];
+            old.pred_rise[i] = new.pred_rise[i];
+            old.pred_fall[i] = new.pred_fall[i];
+        }
+        tv_obs::incr(if hit {
+            tv_obs::Counter::CacheCaseHits
+        } else {
+            tv_obs::Counter::CacheCaseMisses
+        });
         tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
         tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
-        self.stats.push(CaseStats {
+        stats.push(CaseStats {
             case: key,
             nodes: n,
             recomputed,
-            engine: CaseEngine::Full,
+            engine,
         });
         result
     }
-}
-
-/// Dirty nodes (fingerprint mismatch vs the baseline) plus their forward
-/// closure over out-arcs.
-fn affected_cone(graph: &TimingGraph, fps: &[u64], baseline: &[u64]) -> Vec<bool> {
-    let n = fps.len();
-    let mut affected: Vec<bool> = (0..n).map(|i| baseline.get(i) != Some(&fps[i])).collect();
-    let stack: Vec<usize> = (0..n).filter(|&i| affected[i]).collect();
-    graph.fanout_closure(&mut affected, stack);
-    affected
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Word-wise mixer shared with the pass pipeline. These fingerprints
-/// are compared only within one process, never persisted, so the cheap
-/// splitmix64 round replaces the old byte-wise FNV loop — node
-/// fingerprinting is on the warm-path of every incremental run.
-use crate::fingerprint::mix64 as mix;
-
-fn arc_kind_tag(kind: ArcKind) -> u64 {
-    match kind {
-        ArcKind::Gate => 0,
-        ArcKind::BufferPull => 1,
-        ArcKind::PassData => 2,
-        ArcKind::PassControl => 3,
-        ArcKind::Precharge => 4,
-    }
-}
-
-/// Per-node stage fingerprints: everything that determines the node's
-/// local evaluation given its predecessors' arrivals.
-pub(crate) fn node_fingerprints(graph: &TimingGraph, is_source: &[bool]) -> Vec<u64> {
-    (0..graph.node_count())
-        .map(|i| node_fingerprint(graph, is_source, i))
-        .collect()
-}
-
-fn node_fingerprint(graph: &TimingGraph, is_source: &[bool], i: usize) -> u64 {
-    let mut h = mix(FNV_OFFSET, is_source[i] as u64);
-    for &ai in graph.in_arcs_of_index(i) {
-        let a = &graph.arcs[ai as usize];
-        h = mix(h, a.from.index() as u64);
-        h = mix(h, a.rise_delay.to_bits());
-        h = mix(h, a.fall_delay.to_bits());
-        h = mix(h, a.rise_tau.to_bits());
-        h = mix(h, a.fall_tau.to_bits());
-        h = mix(h, a.inverting as u64);
-        h = mix(h, arc_kind_tag(a.kind));
-    }
-    h
-}
-
-/// Slope-model digest: the part of the configuration that acts at
-/// propagation time, where arc fingerprints cannot see it. Kept separate
-/// from the delay-model key so a slope change does not masquerade as a
-/// graph change.
-fn slope_key(options: &AnalysisOptions) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = mix(h, options.slope.k_slope.to_bits());
-    h = mix(h, options.slope.k_transition.to_bits());
-    h
 }
 
 #[cfg(test)]
@@ -502,25 +251,21 @@ mod tests {
     use tv_flow::{analyze, RuleSet};
     use tv_netlist::{NetlistBuilder, Tech};
 
-    fn chain(n: usize) -> tv_netlist::Netlist {
+    /// An inverter chain off input `a`, with an optional extra wiring
+    /// cap on stage `cap_at`, so two builds differ by one physical edit.
+    fn chain(n: usize, cap_at: Option<usize>) -> tv_netlist::Netlist {
         let mut b = NetlistBuilder::new(Tech::nmos4um());
         let a = b.input("a");
         let mut prev = a;
         for i in 0..n {
             let nx = b.node(format!("s{i}"));
             b.inverter(format!("i{i}"), prev, nx);
+            if cap_at == Some(i) {
+                b.add_cap(nx, 0.3).unwrap();
+            }
             prev = nx;
         }
         b.finish().unwrap()
-    }
-
-    /// An uncertified delta: forces the full fingerprint path when `fp`
-    /// differs from the cached entry's.
-    fn full(fp: u64) -> CaseDelta {
-        CaseDelta {
-            graph_fp: fp,
-            since: None,
-        }
     }
 
     fn graph_and_sources(nl: &tv_netlist::Netlist) -> (TimingGraph, Vec<NodeId>, Vec<NodeId>) {
@@ -534,7 +279,7 @@ mod tests {
             DelayModel::Elmore,
             1.0,
         );
-        let src = vec![nl.node_by_name("a").unwrap()];
+        let src: Vec<NodeId> = nl.inputs().to_vec();
         let eps: Vec<NodeId> = nl
             .node_ids()
             .filter(|&i| !nl.node(i).role().is_rail())
@@ -542,284 +287,33 @@ mod tests {
         (g, src, eps)
     }
 
-    #[test]
-    fn identical_rerun_recomputes_nothing() {
-        let nl = chain(6);
-        let (g, src, eps) = graph_and_sources(&nl);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        let cold =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        cache.begin_run(&AnalysisOptions::default());
-        let warm =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(2));
-        let stats = cache.last_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].recomputed, 0, "nothing changed");
-        assert_eq!(stats[0].reused(), nl.node_count());
-        for i in nl.node_ids() {
-            assert_eq!(
-                cold.arrivals.rise(i).map(f64::to_bits),
-                warm.arrivals.rise(i).map(f64::to_bits)
-            );
-            assert_eq!(
-                cold.arrivals.fall(i).map(f64::to_bits),
-                warm.arrivals.fall(i).map(f64::to_bits)
-            );
+    /// An uncertified delta: a full rebuild under fingerprint `fp`.
+    fn full(fp: u64) -> CaseDelta {
+        CaseDelta {
+            graph_fp: fp,
+            since: None,
         }
     }
 
-    #[test]
-    fn matching_graph_fp_takes_snapshot_fast_path() {
-        // Same certified graph fingerprint on the warm run: no arc is
-        // re-hashed, nothing recomputes, and the result is bit-identical.
-        let nl = chain(6);
-        let (g, src, eps) = graph_and_sources(&nl);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        let cold =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(7));
-        cache.begin_run(&AnalysisOptions::default());
-        let warm =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(7));
-        assert_eq!(cache.last_stats()[0].recomputed, 0);
-        assert_eq!(cold.relaxations, warm.relaxations);
-        assert_eq!(cold.endpoints, warm.endpoints);
-        for i in nl.node_ids() {
-            assert_eq!(
-                cold.arrivals.rise(i).map(f64::to_bits),
-                warm.arrivals.rise(i).map(f64::to_bits)
-            );
-            assert_eq!(
-                cold.arrivals.fall(i).map(f64::to_bits),
-                warm.arrivals.fall(i).map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn certified_empty_delta_skips_rehash() {
-        // A `since` certificate naming the cached fingerprint with an
-        // empty dirty list: the incremental path runs (new graph_fp is
-        // adopted) without recomputing anything.
-        let nl = chain(5);
-        let (g, src, eps) = graph_and_sources(&nl);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        let cold =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(7));
-        cache.begin_run(&AnalysisOptions::default());
-        let step = CaseDelta {
-            graph_fp: 8,
-            since: Some((7, Vec::new())),
+    /// The exact certificate for the step `before` → `after` (same arc
+    /// structure): the targets of arcs whose delay/τ words differ.
+    fn certify(prev_fp: u64, fp: u64, before: &TimingGraph, after: &TimingGraph) -> CaseDelta {
+        let words = |a: &crate::graph::Arc| {
+            [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits)
         };
-        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &step);
-        assert_eq!(cache.last_stats()[0].recomputed, 0);
-        for i in nl.node_ids() {
-            assert_eq!(
-                cold.arrivals.rise(i).map(f64::to_bits),
-                warm.arrivals.rise(i).map(f64::to_bits)
-            );
-        }
-        // The adopted fingerprint chains: a third run certified against
-        // fp 8 still reuses everything.
-        cache.begin_run(&AnalysisOptions::default());
-        cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(8));
-        assert_eq!(cache.last_stats()[0].recomputed, 0);
-    }
-
-    #[test]
-    fn stale_certificate_falls_back_to_full_hash() {
-        // A `since` certificate naming a fingerprint the cache never
-        // stored must be ignored — the full fingerprint path still
-        // produces a correct (here: fully reused, identical) result.
-        let nl = chain(5);
-        let (g, src, eps) = graph_and_sources(&nl);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        let cold =
-            cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(7));
-        cache.begin_run(&AnalysisOptions::default());
-        let step = CaseDelta {
-            graph_fp: 9,
-            since: Some((8, Vec::new())),
-        };
-        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &step);
-        for i in nl.node_ids() {
-            assert_eq!(
-                cold.arrivals.rise(i).map(f64::to_bits),
-                warm.arrivals.rise(i).map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn config_change_clears_cache() {
-        let nl = chain(4);
-        let (g, src, eps) = graph_and_sources(&nl);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        // Different slope handling: every cached arrival is invalid.
-        let opts = AnalysisOptions {
-            slope: SlopeModel::disabled(),
-            ..AnalysisOptions::default()
-        };
-        cache.begin_run(&opts);
-        cache.propagate_case(
-            &nl,
-            &g,
-            &src,
-            &eps,
-            &SlopeModel::disabled(),
-            1,
-            Guards::default(),
-            &full(2),
-        );
-        assert_eq!(cache.last_stats()[0].recomputed, nl.node_count());
-    }
-
-    #[test]
-    fn slope_and_model_changes_are_distinguished() {
-        let mut cache = IncrementalCache::new();
-        let base = AnalysisOptions::default();
-        assert_eq!(cache.begin_run(&base), ConfigEffect::Unchanged);
-        assert_eq!(cache.begin_run(&base), ConfigEffect::Unchanged);
-        let slope_only = AnalysisOptions {
-            slope: SlopeModel::disabled(),
-            ..AnalysisOptions::default()
-        };
-        assert_eq!(cache.begin_run(&slope_only), ConfigEffect::SlopeChanged);
-        let model_too = AnalysisOptions {
-            model: DelayModel::Lumped,
-            slope: SlopeModel::disabled(),
-            ..AnalysisOptions::default()
-        };
-        assert_eq!(cache.begin_run(&model_too), ConfigEffect::ModelChanged);
-        assert_eq!(cache.begin_run(&model_too), ConfigEffect::Unchanged);
-        cache.clear();
-        // After a clear there is no previous configuration to differ from.
-        assert_eq!(cache.begin_run(&model_too), ConfigEffect::Unchanged);
-    }
-
-    #[test]
-    fn edit_dirties_only_downstream_cone() {
-        // Two parallel chains off separate inputs; editing one leaves the
-        // other's fingerprints (hence arrivals) untouched.
-        let build = |wide: bool| {
-            let mut b = NetlistBuilder::new(Tech::nmos4um());
-            let a = b.input("a");
-            let c = b.input("c");
-            let mut prev = a;
-            for i in 0..4 {
-                let nx = b.node(format!("sa{i}"));
-                b.inverter(format!("ia{i}"), prev, nx);
-                prev = nx;
-            }
-            let mut prev = c;
-            let mut sc1 = None;
-            for i in 0..4 {
-                let nx = b.node(format!("sc{i}"));
-                b.inverter(format!("ic{i}"), prev, nx);
-                if i == 1 {
-                    sc1 = Some(nx);
-                }
-                prev = nx;
-            }
-            if wide {
-                b.add_cap(sc1.unwrap(), 0.3).unwrap();
-            }
-            b.finish().unwrap()
-        };
-        let nl1 = build(false);
-        let nl2 = build(true);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        {
-            let flow = analyze(&nl1, &RuleSet::all());
-            let q = qualify_with_flow(&nl1, &flow);
-            let g = TimingGraph::build(
-                &nl1,
-                &flow,
-                &q,
-                PhaseCase::all_active(),
-                DelayModel::Elmore,
-                1.0,
-            );
-            let src = vec![
-                nl1.node_by_name("a").unwrap(),
-                nl1.node_by_name("c").unwrap(),
-            ];
-            let eps: Vec<NodeId> = nl1
-                .node_ids()
-                .filter(|&i| !nl1.node(i).role().is_rail())
-                .collect();
-            cache.propagate_case(&nl1, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        }
-        cache.begin_run(&AnalysisOptions::default());
-        let flow = analyze(&nl2, &RuleSet::all());
-        let q = qualify_with_flow(&nl2, &flow);
-        let g = TimingGraph::build(
-            &nl2,
-            &flow,
-            &q,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-        );
-        let src = vec![
-            nl2.node_by_name("a").unwrap(),
-            nl2.node_by_name("c").unwrap(),
-        ];
-        let eps: Vec<NodeId> = nl2
-            .node_ids()
-            .filter(|&i| !nl2.node(i).role().is_rail())
+        let mut changed: Vec<u32> = before
+            .arcs
+            .iter()
+            .zip(&after.arcs)
+            .filter(|(x, y)| words(x) != words(y))
+            .map(|(_, y)| y.to.index() as u32)
             .collect();
-        let warm =
-            cache.propagate_case(&nl2, &g, &src, &eps, &slope, 1, Guards::default(), &full(2));
-        let stats = cache.last_stats()[0];
-        assert!(stats.recomputed > 0, "the edited cone re-runs");
-        assert!(
-            stats.recomputed < nl2.node_count(),
-            "the untouched chain is reused ({} of {})",
-            stats.recomputed,
-            stats.nodes
-        );
-        // And the warm result equals a cold run, bit for bit.
-        let cold = crate::propagate::propagate(&nl2, &g, &src, &eps, &slope);
-        for i in nl2.node_ids() {
-            assert_eq!(
-                cold.arrivals.rise(i).map(f64::to_bits),
-                warm.arrivals.rise(i).map(f64::to_bits)
-            );
-            assert_eq!(
-                cold.arrivals.fall(i).map(f64::to_bits),
-                warm.arrivals.fall(i).map(f64::to_bits)
-            );
+        changed.sort_unstable();
+        changed.dedup();
+        CaseDelta {
+            graph_fp: fp,
+            since: Some((prev_fp, changed)),
         }
-    }
-
-    /// An inverter chain with an optional extra wiring cap on `s0`, so
-    /// two builds differ by one physical edit near the chain's head.
-    fn chain_with_cap(n: usize, cap_on_s0: bool) -> tv_netlist::Netlist {
-        let mut b = NetlistBuilder::new(Tech::nmos4um());
-        let a = b.input("a");
-        let mut prev = a;
-        for i in 0..n {
-            let nx = b.node(format!("s{i}"));
-            b.inverter(format!("i{i}"), prev, nx);
-            if i == 0 && cap_on_s0 {
-                b.add_cap(nx, 0.3).unwrap();
-            }
-            prev = nx;
-        }
-        b.finish().unwrap()
     }
 
     /// Asserts two phase results agree bit-for-bit: arrivals, transition
@@ -858,104 +352,205 @@ mod tests {
         }
     }
 
-    /// A certificate naming the cached fingerprint with *every* node
-    /// dirty — a valid (if lazy) superset: seeds are re-derived from
-    /// actual fingerprint mismatches.
-    fn certify_all(prev_fp: u64, new_fp: u64, n: usize) -> CaseDelta {
-        CaseDelta {
-            graph_fp: new_fp,
-            since: Some((prev_fp, (0..n as u32).collect())),
+    /// Runs `delta` warm against a cache primed cold on `before`, and
+    /// returns the warm result, its stats, and a cold walk of `nl`.
+    fn warm_step(
+        before: &tv_netlist::Netlist,
+        nl: &tv_netlist::Netlist,
+        delta: impl FnOnce(&TimingGraph, &TimingGraph) -> CaseDelta,
+        guards: Guards,
+    ) -> (PhaseResult, CaseStats, PhaseResult) {
+        let slope = SlopeModel::calibrated();
+        let mut cache = IncrementalCache::default();
+        let (g0, src0, eps0) = graph_and_sources(before);
+        cache.begin_run(&slope);
+        cache.propagate_case(before, &g0, &src0, &eps0, &slope, 1, guards, &full(1));
+        let (g, src, eps) = graph_and_sources(nl);
+        let delta = delta(&g0, &g);
+        cache.begin_run(&slope);
+        let warm = cache.propagate_case(nl, &g, &src, &eps, &slope, 1, guards, &delta);
+        let cold = crate::propagate::propagate(nl, &g, &src, &eps, &slope);
+        (warm, cache.last_stats()[0], cold)
+    }
+
+    #[test]
+    fn matching_graph_fp_serves_the_snapshot() {
+        // The snapshot already reflects the current arcs: a zero-seed
+        // cone serves it as-is, bit-identical, relaxations charged.
+        let nl = chain(6, None);
+        let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| full(1), Guards::default());
+        assert_eq!(stats.recomputed, 0);
+        assert_eq!(stats.reused(), nl.node_count());
+        assert_eq!(stats.engine, CaseEngine::Cone);
+        assert_bit_identical(&nl, &cold, &warm);
+    }
+
+    #[test]
+    fn certified_empty_delta_reuses_everything_and_chains() {
+        // A certificate naming the snapshot's fingerprint with nothing
+        // changed: the new fingerprint is adopted without recomputing,
+        // and a third run certified against it still reuses everything.
+        let nl = chain(5, None);
+        let (g, src, eps) = graph_and_sources(&nl);
+        let slope = SlopeModel::calibrated();
+        let mut cache = IncrementalCache::default();
+        let guards = Guards::default();
+        cache.begin_run(&slope);
+        let cold = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &full(7));
+        for (prev, fp) in [(7, 8), (8, 9)] {
+            let step = CaseDelta {
+                graph_fp: fp,
+                since: Some((prev, Vec::new())),
+            };
+            cache.begin_run(&slope);
+            let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &step);
+            assert_eq!(cache.last_stats()[0].recomputed, 0);
+            assert_bit_identical(&nl, &cold, &warm);
         }
     }
 
     #[test]
+    fn uncertified_or_stale_delta_is_a_full_walk() {
+        // A rebuild (no certificate) and a certificate naming a
+        // fingerprint the cache never stored both walk every node.
+        let nl = chain(5, None);
+        for delta in [
+            full(2),
+            CaseDelta {
+                graph_fp: 9,
+                since: Some((8, Vec::new())),
+            },
+        ] {
+            let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| delta, Guards::default());
+            assert_eq!(stats.engine, CaseEngine::Full);
+            assert_eq!(stats.recomputed, nl.node_count());
+            assert_bit_identical(&nl, &cold, &warm);
+        }
+    }
+
+    #[test]
+    fn slope_change_drops_every_snapshot() {
+        let nl = chain(4, None);
+        let (g, src, eps) = graph_and_sources(&nl);
+        let mut cache = IncrementalCache::default();
+        let guards = Guards::default();
+        let slope = SlopeModel::calibrated();
+        cache.begin_run(&slope);
+        cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &full(1));
+        // Same graph fingerprint, different slope handling: every cached
+        // arrival is invalid.
+        let off = SlopeModel::disabled();
+        cache.begin_run(&off);
+        cache.propagate_case(&nl, &g, &src, &eps, &off, 1, guards, &full(1));
+        assert_eq!(cache.last_stats()[0].recomputed, nl.node_count());
+    }
+
+    #[test]
     fn certified_cone_is_bit_identical_to_full_walk() {
-        // A cap edit near the tail of a deep chain: the affected cone is
-        // a strict minority, so the demand-driven cone engine runs — and
-        // must reproduce the full walk bit for bit, preds included.
+        // A cap edit near the tail of a deep chain: the certificate names
+        // only the edited stage's targets, the affected cone is a strict
+        // minority, and the cone engine must reproduce the full walk bit
+        // for bit, preds included.
+        let (before, after) = (chain(8, None), chain(8, Some(6)));
+        let (warm, stats, cold) = warm_step(
+            &before,
+            &after,
+            |a, b| certify(1, 2, a, b),
+            Guards::default(),
+        );
+        assert_eq!(stats.engine, CaseEngine::Cone, "cone engine should run");
+        assert!(stats.recomputed > 0 && stats.recomputed * 2 <= stats.nodes);
+        assert_bit_identical(&after, &cold, &warm);
+        assert_eq!(warm.relaxations, cold.relaxations, "charge-equivalence");
+    }
+
+    #[test]
+    fn edit_recomputes_only_downstream_cone() {
+        // Two parallel chains off separate inputs; a cap edit on one
+        // leaves the other entirely to the snapshot.
         let build = |cap: bool| {
             let mut b = NetlistBuilder::new(Tech::nmos4um());
-            let a = b.input("a");
-            let mut prev = a;
-            for i in 0..8 {
-                let nx = b.node(format!("s{i}"));
-                b.inverter(format!("i{i}"), prev, nx);
-                if i == 6 && cap {
-                    b.add_cap(nx, 0.3).unwrap();
+            for chain in ["a", "c"] {
+                let mut prev = b.input(chain);
+                for i in 0..4 {
+                    let nx = b.node(format!("s{chain}{i}"));
+                    b.inverter(format!("i{chain}{i}"), prev, nx);
+                    if cap && chain == "c" && i == 1 {
+                        b.add_cap(nx, 0.3).unwrap();
+                    }
+                    prev = nx;
                 }
-                prev = nx;
             }
             b.finish().unwrap()
         };
-        let nl1 = build(false);
-        let nl2 = build(true);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        {
-            let (g, src, eps) = graph_and_sources(&nl1);
-            cache.propagate_case(&nl1, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        }
-        cache.begin_run(&AnalysisOptions::default());
-        let (g, src, eps) = graph_and_sources(&nl2);
-        let delta = certify_all(1, 2, nl2.node_count());
-        let warm = cache.propagate_case(&nl2, &g, &src, &eps, &slope, 1, Guards::default(), &delta);
-        let stats = cache.last_stats()[0];
-        assert_eq!(stats.engine, CaseEngine::Cone, "cone engine should run");
-        assert!(stats.recomputed > 0 && stats.recomputed * 2 <= stats.nodes);
-        let cold = crate::propagate::propagate(&nl2, &g, &src, &eps, &slope);
-        assert_bit_identical(&nl2, &cold, &warm);
-        assert_eq!(warm.relaxations, g.arcs.len(), "charge-equivalence");
+        let (before, after) = (build(false), build(true));
+        let (warm, stats, cold) = warm_step(
+            &before,
+            &after,
+            |a, b| certify(1, 2, a, b),
+            Guards::default(),
+        );
+        assert!(stats.recomputed > 0, "the edited cone re-runs");
+        assert!(
+            stats.recomputed < after.node_count(),
+            "the untouched chain is reused ({} of {})",
+            stats.recomputed,
+            stats.nodes
+        );
+        assert_bit_identical(&after, &cold, &warm);
     }
 
     #[test]
     fn oversized_cone_falls_back_to_full_walk() {
         // The same edit at the chain's head: the cone covers a majority
-        // of the graph, so the engine falls back to the full walk — and
-        // the result is still bit-identical.
-        let nl1 = chain_with_cap(6, false);
-        let nl2 = chain_with_cap(6, true);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        {
-            let (g, src, eps) = graph_and_sources(&nl1);
-            cache.propagate_case(&nl1, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        }
-        cache.begin_run(&AnalysisOptions::default());
-        let (g, src, eps) = graph_and_sources(&nl2);
-        let delta = certify_all(1, 2, nl2.node_count());
-        let warm = cache.propagate_case(&nl2, &g, &src, &eps, &slope, 1, Guards::default(), &delta);
-        let stats = cache.last_stats()[0];
+        // of the graph, so the full walk runs — still bit-identical.
+        let (before, after) = (chain(6, None), chain(6, Some(0)));
+        let (warm, stats, cold) = warm_step(
+            &before,
+            &after,
+            |a, b| certify(1, 2, a, b),
+            Guards::default(),
+        );
         assert_eq!(
             stats.engine,
             CaseEngine::Full,
             "majority cone must fall back"
         );
-        let cold = crate::propagate::propagate(&nl2, &g, &src, &eps, &slope);
-        assert_bit_identical(&nl2, &cold, &warm);
+        assert_bit_identical(&after, &cold, &warm);
     }
 
     #[test]
     fn armed_deadline_forces_full_walk() {
         // A deadline needs the full walk's level-boundary checks, so the
-        // cone engine must not run even on a snapshot-served fast path.
-        let nl = chain_with_cap(5, false);
-        let slope = SlopeModel::calibrated();
-        let mut cache = IncrementalCache::new();
-        cache.begin_run(&AnalysisOptions::default());
-        let (g, src, eps) = graph_and_sources(&nl);
-        cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, Guards::default(), &full(1));
-        cache.begin_run(&AnalysisOptions::default());
+        // cone engine must not run even when the snapshot is current.
+        let nl = chain(5, None);
         let far_off = Guards {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
             ..Guards::default()
         };
-        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, far_off, &full(1));
-        let stats = cache.last_stats()[0];
+        let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| full(1), far_off);
         assert_eq!(stats.engine, CaseEngine::Full);
-        assert_eq!(stats.recomputed, 0, "the snapshot still serves the values");
-        let cold = crate::propagate::propagate(&nl, &g, &src, &eps, &slope);
+        assert_eq!(stats.recomputed, 0, "the certificate named no change");
         assert_bit_identical(&nl, &cold, &warm);
+    }
+
+    #[test]
+    fn residue_case_keeps_no_snapshot() {
+        // A ring oscillator never levels: even a certified no-change
+        // step walks in full, because no snapshot was kept.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let kick = b.input("kick");
+        let n0 = b.node("n0");
+        let n1 = b.node("n1");
+        let n2 = b.node("n2");
+        b.nand("g0", &[kick, n2], n0);
+        b.inverter("g1", n0, n1);
+        b.inverter("g2", n1, n2);
+        let nl = b.finish().unwrap();
+        let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| full(1), Guards::default());
+        assert_eq!(stats.engine, CaseEngine::Full);
+        assert_eq!(stats.recomputed, nl.node_count());
+        assert_eq!(warm.cyclic, cold.cyclic);
+        assert_eq!(warm.unresolved, cold.unresolved);
     }
 }

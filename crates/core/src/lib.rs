@@ -57,7 +57,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod graph;
 pub mod hold;
-pub mod incremental;
+mod incremental;
 pub mod macromodel;
 pub mod optimize;
 pub mod options;
@@ -74,13 +74,10 @@ pub use error::TvError;
 pub use fingerprint::{flow_fingerprint, report_fingerprint, Fnv};
 pub use graph::{Arc, ArcKind, LevelSchedule, PhaseCase, TimingGraph};
 pub use hold::{race_check, RaceHazard};
-pub use incremental::{CaseEngine, CaseStats, ConfigEffect, IncrementalCache};
+pub use incremental::{CaseEngine, CaseStats};
 pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};
 pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, PASS_TABLE};
-pub use propagate::{
-    propagate, propagate_guarded, propagate_with, Arrivals, Completion, Guards, PhaseResult,
-    PAR_MIN_WIDTH,
-};
+pub use propagate::{propagate, propagate_with, Arrivals, Completion, PhaseResult, PAR_MIN_WIDTH};
 pub use tv_netlist::{codes, Diagnostic, Diagnostics, Severity};

@@ -27,18 +27,15 @@
 //! So a capacitance edit cannot re-run flow (flow's inputs don't
 //! include the cap counter), and a W/L resize cannot re-find latches.
 //!
-//! The graph passes go one step further than all-or-nothing: a
-//! session-grade manager records per-root arc **spans** and a per-node
-//! **extent index** (which roots read which node's caps/geometry) at
-//! build time. A parametric edit then resynthesizes only the affected
-//! roots and splices their delays into the existing graph in place —
-//! CSR adjacency and level schedule are untouched because parametric
-//! edits cannot change arc structure. The incremental arrival cache
-//! sees the spliced delay words as dirty fingerprints and re-propagates
-//! exactly the affected cone. Every reuse path is bit-identical to a
-//! cold run; the golden fingerprints in `tests/integration_layout.rs`
-//! and the session-vs-oneshot tests in `tests/integration_session.rs`
-//! enforce it.
+//! The graph passes splice rather than rebuild: a parametric edit
+//! resynthesizes only the roots whose **extent** (the nodes whose
+//! caps/geometry their arcs read, indexed on the first such edit)
+//! it touches, and overwrites their arc **spans** in place. The splice
+//! certifies which nodes' in-arc delays changed, and the arrival cache
+//! re-propagates just their fanout cone. The one-shot
+//! [`crate::Analyzer`] is this pipeline run once. Every reuse path is
+//! bit-identical to a cold run; `tests/integration_layout.rs` and
+//! `tests/integration_session.rs` enforce it.
 
 use std::time::Instant;
 
@@ -60,7 +57,7 @@ use crate::incremental::{CaseDelta, CaseEngine, IncrementalCache};
 use crate::macromodel::{build_spanned, Extraction};
 use crate::options::AnalysisOptions;
 use crate::paths::critical_paths;
-use crate::propagate::{propagate_reuse, Guards, Workspace};
+use crate::propagate::Guards;
 
 /// Names a pass instance. Graph and arrival passes are per case:
 /// `None` is the all-active (combinational) view, `Some(p)` phase `p`.
@@ -201,17 +198,6 @@ struct Slot<T> {
     value: T,
 }
 
-/// Per-root splice support recorded at graph build time.
-struct SpliceIndex {
-    /// Prefix offsets: root `k` owns arcs `spans[k]..spans[k + 1]`.
-    spans: Vec<u32>,
-    /// CSR offsets into `extent_roots` by node index.
-    extent_starts: Vec<u32>,
-    /// Root ordinals whose arc delays read the node's caps or adjacent
-    /// geometry, grouped by node.
-    extent_roots: Vec<u32>,
-}
-
 /// A cached timing graph for one case.
 struct GraphSlot {
     input_fp: u64,
@@ -224,12 +210,17 @@ struct GraphSlot {
     built_revision: Revision,
     graph: TimingGraph,
     roots: Vec<(tv_netlist::NodeId, RootKind)>,
-    /// `None` when spans were not recorded (one-shot mode, or a build
-    /// worker panicked) — such a slot always rebuilds in full.
-    splice: Option<SpliceIndex>,
+    /// Prefix offsets: root `k` owns arcs `spans[k]..spans[k + 1]`.
+    /// `None` when a build worker panicked — such a slot always
+    /// rebuilds in full.
+    spans: Option<Vec<u32>>,
+    /// The extent index `(starts, roots)` from
+    /// [`GraphBuilder::extents`], built on the first splice attempt:
+    /// the roots reading node `i` are `roots[starts[i]..starts[i + 1]]`.
+    extents: Option<(Vec<u32>, Vec<u32>)>,
     /// The macromodel class partition from the build, used to de-share
     /// instanced stages a parametric edit touches. `None` when the
-    /// build degraded to flat isolation or spans were not recorded.
+    /// build degraded to flat isolation.
     extraction: Option<Extraction>,
 }
 
@@ -243,38 +234,21 @@ struct GraphSlot {
 /// [`crate::Analyzer::run`] on the same netlist.
 #[derive(Default)]
 pub struct PassManager {
-    /// Whether graph builds record spans/extents for splicing. Costs a
-    /// little build time and memory; the throwaway one-shot path skips
-    /// it.
-    record_spans: bool,
     flow: Option<Slot<FlowAnalysis>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
     /// Graph slots: `[comb, phase 0, phase 1]`.
     graphs: [Option<GraphSlot>; 3],
     checks: Option<Slot<Vec<CheckIssue>>>,
-    /// Arrival memoization (stage-fingerprint granular), shared across
-    /// all cases.
+    /// Arrival snapshots, reused under the graph passes' certificates.
     cache: IncrementalCache,
-    /// Propagation scratch for the uncached path.
-    workspace: Workspace,
     trace: Vec<PassEvent>,
 }
 
 impl PassManager {
-    /// A session-grade manager: graph builds record per-root spans and
-    /// extents so parametric edits splice instead of rebuilding.
+    /// An empty manager: the first `analyze` computes every pass.
     pub fn new() -> Self {
-        PassManager {
-            record_spans: true,
-            ..Default::default()
-        }
-    }
-
-    /// A throwaway manager for the one-shot `Analyzer` path: no span
-    /// recording, byte-for-byte the pre-pipeline build behavior.
-    pub(crate) fn one_shot() -> Self {
-        PassManager::default()
+        Self::default()
     }
 
     /// Runs (or revalidates) the full pipeline against the design's
@@ -283,8 +257,14 @@ impl PassManager {
     /// enforce limits (and to receive a violated pipeline invariant as
     /// [`TvError::Internal`] instead of a panic).
     pub fn analyze(&mut self, design: &Design, options: &AnalysisOptions) -> TimingReport {
-        self.analyze_design(design, options, false)
-            .expect("unguarded analyze: limits are off and pipeline invariants hold")
+        self.analyze_inner(
+            design.netlist(),
+            design.stamp(),
+            Some(design),
+            options,
+            false,
+        )
+        .expect("unguarded analyze: limits are off and pipeline invariants hold")
     }
 
     /// [`PassManager::analyze`] with [`AnalysisOptions::max_nodes`] and
@@ -295,7 +275,13 @@ impl PassManager {
         design: &Design,
         options: &AnalysisOptions,
     ) -> Result<TimingReport, TvError> {
-        self.analyze_design(design, options, true)
+        self.analyze_inner(
+            design.netlist(),
+            design.stamp(),
+            Some(design),
+            options,
+            true,
+        )
     }
 
     /// The pass trace of the most recent `analyze`, in execution order.
@@ -306,8 +292,8 @@ impl PassManager {
     /// The current fingerprint of a pass: output (content) fingerprints
     /// for the interned analyses (flow, qualify, latches), input
     /// fingerprints for the graph and check passes, `None` for a pass
-    /// that has not run or for arrivals (memoized per node, not per
-    /// pass).
+    /// that has not run or for arrivals (reused under the graph pass's
+    /// certificate, with no fingerprint of their own).
     pub fn pass_fingerprint(&self, pass: PassId) -> Option<u64> {
         match pass {
             PassId::Flow => self.flow.as_ref().map(|s| s.output_fp),
@@ -324,8 +310,7 @@ impl PassManager {
     }
 
     /// The macromodel extraction for a case's cached graph, if the most
-    /// recent build extracted one (`None` in one-shot mode or after a
-    /// degraded build).
+    /// recent build extracted one (`None` after a degraded build).
     pub fn extraction(&self, case: Option<u8>) -> Option<&Extraction> {
         self.graphs[case_slot(case)]
             .as_ref()
@@ -338,41 +323,17 @@ impl PassManager {
         self.cache.last_stats()
     }
 
-    fn analyze_design(
-        &mut self,
-        design: &Design,
-        options: &AnalysisOptions,
-        enforce_limits: bool,
-    ) -> Result<TimingReport, TvError> {
-        // The arrival cache is a field, but `analyze_inner` needs it as
-        // an independent borrow alongside the slot fields: lift it out
-        // for the duration of the run.
-        let mut cache = std::mem::take(&mut self.cache);
-        let r = self.analyze_inner(
-            design.netlist(),
-            design.stamp(),
-            Some(design),
-            options,
-            Some(&mut cache),
-            enforce_limits,
-        );
-        self.cache = cache;
-        r
-    }
-
     /// The pipeline body shared by the session path and the one-shot
     /// `Analyzer` facade. `stamp` is the design's counter snapshot (a
     /// [`DesignStamp::unique`] snapshot on the one-shot path, so nothing
     /// ever falsely matches); `design` enables dirty-set queries for
-    /// splicing; `cache` is the arrival memo (`None` = plain
-    /// propagation).
+    /// splicing.
     pub(crate) fn analyze_inner(
         &mut self,
         nl: &Netlist,
         stamp: DesignStamp,
         design: Option<&Design>,
         options: &AnalysisOptions,
-        mut cache: Option<&mut IncrementalCache>,
         enforce_limits: bool,
     ) -> Result<TimingReport, TvError> {
         let _span = tv_obs::span("analyze");
@@ -401,9 +362,7 @@ impl PassManager {
             relax_budget: options.relax_budget,
             deadline: options.deadline.map(|d| Instant::now() + d),
         };
-        if let Some(c) = cache.as_deref_mut() {
-            c.begin_run(options);
-        }
+        self.cache.begin_run(&options.slope);
 
         // --- flow ---
         let flow_in = hash_words(&[stamp.design, stamp.topo, rules_fp(options)]);
@@ -488,7 +447,6 @@ impl PassManager {
         let comb_delta = graph_pass(
             &mut self.graphs[0],
             &mut self.trace,
-            self.record_spans,
             nl,
             flow,
             qual,
@@ -518,8 +476,9 @@ impl PassManager {
         diagnostics.extend(comb_slot.graph.diagnostics.iter().cloned());
         let comb_sources = external_sources(nl);
         let comb_endpoints = endpoints_or_all(nl, nl.outputs());
-        let combinational = match cache.as_deref_mut() {
-            Some(c) => c.propagate_case(
+        let combinational = {
+            let _s = tv_obs::span("pass.arrivals");
+            self.cache.propagate_case(
                 nl,
                 &comb_slot.graph,
                 &comb_sources,
@@ -528,22 +487,11 @@ impl PassManager {
                 jobs,
                 guards,
                 &comb_delta,
-            ),
-            None => propagate_reuse(
-                nl,
-                &comb_slot.graph,
-                &comb_sources,
-                &comb_endpoints,
-                &options.slope,
-                jobs,
-                None,
-                guards,
-                &mut self.workspace,
-            ),
+            )
         };
         self.trace.push(PassEvent {
             pass: PassId::Arrivals(None),
-            outcome: arrivals_outcome(&cache),
+            outcome: arrivals_outcome(&self.cache),
         });
         diagnostics.extend(combinational.diagnostics.iter().cloned());
         let combinational_paths = critical_paths(&comb_slot.graph, &combinational, options.top_k);
@@ -555,7 +503,6 @@ impl PassManager {
                 let delta = graph_pass(
                     &mut self.graphs[1 + p as usize],
                     &mut self.trace,
-                    self.record_spans,
                     nl,
                     flow,
                     qual,
@@ -573,8 +520,9 @@ impl PassManager {
                 diagnostics.extend(slot.graph.diagnostics.iter().cloned());
                 let sources = phase_sources(nl, latches, p);
                 let endpoints = phase_endpoints(nl, latches, p);
-                let result = match cache.as_deref_mut() {
-                    Some(c) => c.propagate_case(
+                let result = {
+                    let _s = tv_obs::span("pass.arrivals");
+                    self.cache.propagate_case(
                         nl,
                         &slot.graph,
                         &sources,
@@ -583,22 +531,11 @@ impl PassManager {
                         jobs,
                         guards,
                         &delta,
-                    ),
-                    None => propagate_reuse(
-                        nl,
-                        &slot.graph,
-                        &sources,
-                        &endpoints,
-                        &options.slope,
-                        jobs,
-                        None,
-                        guards,
-                        &mut self.workspace,
-                    ),
+                    )
                 };
                 self.trace.push(PassEvent {
                     pass: PassId::Arrivals(Some(p)),
-                    outcome: arrivals_outcome(&cache),
+                    outcome: arrivals_outcome(&self.cache),
                 });
                 diagnostics.extend(result.diagnostics.iter().cloned());
                 let paths = critical_paths(&slot.graph, &result, options.top_k);
@@ -700,33 +637,14 @@ impl PassManager {
     }
 }
 
-/// One-shot entry for the `Analyzer` facade: a throwaway manager with a
-/// unique stamp, so every pass computes exactly as the pre-pipeline
-/// code did (including `build_par` graphs without span recording).
-pub(crate) fn oneshot(
-    nl: &Netlist,
-    options: &AnalysisOptions,
-    cache: Option<&mut IncrementalCache>,
-    enforce_limits: bool,
-) -> Result<TimingReport, TvError> {
-    PassManager::one_shot().analyze_inner(
-        nl,
-        DesignStamp::unique(),
-        None,
-        options,
-        cache,
-        enforce_limits,
-    )
-}
-
 /// The graph pass for one case: reuse on a clean input fingerprint,
 /// splice on a parametric-only delta (matching shape, recorded spans,
 /// clean diagnostics, node-granular dirty set), full rebuild otherwise.
 ///
 /// Returns the [`CaseDelta`] certificate for the arrival cache: the
 /// graph fingerprint the arcs now reflect, and — when the pass reused,
-/// revalidated, or spliced — exactly which node indices may hold
-/// different in-arc words than under the previous fingerprint. The
+/// revalidated, or spliced — exactly which node indices have an in-arc
+/// whose delay/τ words differ from the previous fingerprint's. The
 /// certificate's "sources and endpoints unchanged" clause holds because
 /// every non-rebuild outcome pins topology, flow, and qualification
 /// (via `shape_fp`), which determine the latch set and hence every
@@ -735,7 +653,6 @@ pub(crate) fn oneshot(
 fn graph_pass(
     slot_opt: &mut Option<GraphSlot>,
     trace: &mut Vec<PassEvent>,
-    record_spans: bool,
     nl: &Netlist,
     flow: &FlowAnalysis,
     qual: &[Qualification],
@@ -810,45 +727,17 @@ fn graph_pass(
             built_revision,
             graph,
             roots,
-            splice,
+            spans,
+            extents,
             extraction,
             ..
         } = s;
-        let Some(idx) = splice.as_ref() else {
+        let Some(spans) = spans.as_ref() else {
             break 'splice;
         };
         let DirtySince::Nodes(dirty) = d.dirty_since(*built_revision) else {
             break 'splice;
         };
-        let mut affected: Vec<u32> = Vec::new();
-        for n in &dirty {
-            let i = n.index();
-            affected.extend_from_slice(
-                &idx.extent_roots[idx.extent_starts[i] as usize..idx.extent_starts[i + 1] as usize],
-            );
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        if affected.is_empty() {
-            // The edit landed entirely outside this graph's read set
-            // (e.g. a cap tweak on a node no stage's tree reaches):
-            // revalidate without touching an arc.
-            let prev_fp = *slot_in;
-            *slot_in = input_fp;
-            *built_revision = d.revision();
-            trace.push(PassEvent {
-                pass: extract_pass,
-                outcome: PassOutcome::Revalidated,
-            });
-            trace.push(PassEvent {
-                pass,
-                outcome: PassOutcome::Revalidated,
-            });
-            return CaseDelta {
-                graph_fp: input_fp,
-                since: Some((prev_fp, Vec::new())),
-            };
-        }
         let builder = GraphBuilder {
             netlist: nl,
             flow,
@@ -857,31 +746,44 @@ fn graph_pass(
             model: options.model,
         };
         let mut scratch = BuildScratch::new(nl.node_count());
-        if splice_roots(
+        // Extents read only topology, flow, qualification, and case —
+        // all pinned by `shape_fp` — so the index built on the first
+        // attempt serves every later one, and a one-shot run never
+        // pays for it.
+        let (extent_starts, extent_roots) =
+            extents.get_or_insert_with(|| builder.extents(roots, &mut scratch));
+        let mut affected: Vec<u32> = Vec::new();
+        for n in &dirty {
+            let i = n.index();
+            affected.extend_from_slice(
+                &extent_roots[extent_starts[i] as usize..extent_starts[i + 1] as usize],
+            );
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        let prev_fp = *slot_in;
+        let mut changed: Vec<u32> = Vec::new();
+        let outcome = if affected.is_empty() {
+            // The edit landed entirely outside this graph's read set
+            // (e.g. a cap tweak on a node no stage's tree reaches):
+            // revalidate without touching an arc.
+            trace.push(PassEvent {
+                pass: extract_pass,
+                outcome: PassOutcome::Revalidated,
+            });
+            PassOutcome::Revalidated
+        } else if splice_roots(
             graph,
             &builder,
             SOURCE_RESISTANCE,
             roots,
-            &idx.spans,
+            spans,
             &affected,
             &mut scratch,
+            &mut changed,
         )
         .is_ok()
         {
-            // The splice overwrote exactly the affected roots' arc
-            // spans, so only the targets of those arcs can carry
-            // different in-arc words: that list is the certificate.
-            let mut dirty: Vec<u32> = Vec::new();
-            for &k in &affected {
-                let lo = idx.spans[k as usize] as usize;
-                let hi = idx.spans[k as usize + 1] as usize;
-                dirty.extend(graph.arcs[lo..hi].iter().map(|a| a.to.index() as u32));
-            }
-            dirty.sort_unstable();
-            dirty.dedup();
-            let prev_fp = *slot_in;
-            *slot_in = input_fp;
-            *built_revision = d.revision();
             // De-share: every affected root that was instanced from a
             // shared macromodel is split into a singleton class before
             // its re-analysis, so the splice never rewrites siblings.
@@ -892,64 +794,40 @@ fn graph_pass(
                     roots: desplit as usize,
                 },
             });
-            trace.push(PassEvent {
-                pass,
-                outcome: PassOutcome::Spliced {
-                    roots: affected.len(),
-                },
-            });
-            return CaseDelta {
-                graph_fp: input_fp,
-                since: Some((prev_fp, dirty)),
-            };
-        }
-        // Shape mismatch mid-splice: the graph is partially overwritten
-        // and must be discarded. Fall through to the full rebuild,
-        // which replaces the slot wholesale.
+            PassOutcome::Spliced {
+                roots: affected.len(),
+            }
+        } else {
+            // Shape mismatch mid-splice: the graph is partially
+            // overwritten and must be discarded. Fall through to the
+            // full rebuild, which replaces the slot wholesale.
+            break 'splice;
+        };
+        *slot_in = input_fp;
+        *built_revision = d.revision();
+        trace.push(PassEvent { pass, outcome });
+        // The splice reports exactly the targets of arcs whose delay/τ
+        // words changed: that list is the certificate.
+        changed.sort_unstable();
+        changed.dedup();
+        return CaseDelta {
+            graph_fp: input_fp,
+            since: Some((prev_fp, changed)),
+        };
     }
 
-    let slot = if record_spans {
-        let (sb, extraction) =
-            build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
-        let splice = sb.spans.map(|spans| {
-            let builder = GraphBuilder {
-                netlist: nl,
-                flow,
-                qualification: qual,
-                case,
-                model: options.model,
-            };
-            let mut scratch = BuildScratch::new(nl.node_count());
-            let (extent_starts, extent_roots) = builder.extents(&sb.roots, &mut scratch);
-            SpliceIndex {
-                spans,
-                extent_starts,
-                extent_roots,
-            }
-        });
-        GraphSlot {
-            input_fp,
-            shape_fp,
-            built_revision: design.map_or(Revision(0), |d| d.revision()),
-            graph: sb.graph,
-            roots: sb.roots,
-            splice,
-            extraction,
-        }
-    } else {
-        let graph =
-            TimingGraph::build_par(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
-        GraphSlot {
-            input_fp,
-            shape_fp,
-            built_revision: Revision(0),
-            graph,
-            roots: Vec::new(),
-            splice: None,
-            extraction: None,
-        }
-    };
-    *slot_opt = Some(slot);
+    let (sb, extraction) =
+        build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
+    *slot_opt = Some(GraphSlot {
+        input_fp,
+        shape_fp,
+        built_revision: design.map_or(Revision(0), |d| d.revision()),
+        graph: sb.graph,
+        roots: sb.roots,
+        spans: sb.spans,
+        extents: None,
+        extraction,
+    });
     trace.push(PassEvent {
         pass: extract_pass,
         outcome: PassOutcome::Computed,
@@ -989,20 +867,17 @@ fn internal(what: &'static str) -> TvError {
     TvError::Internal { what }
 }
 
-/// Arrival passes are memoized per node inside the cache, not per pass:
-/// "reused" here means the whole case copied over (zero recomputed),
+/// Arrival passes have no input fingerprint of their own: "reused"
+/// here means the certificate left nothing to recompute,
 /// and "cone" means the demand-driven engine re-relaxed only the
 /// affected cone.
-fn arrivals_outcome(cache: &Option<&mut IncrementalCache>) -> PassOutcome {
-    match cache {
-        Some(c) => match c.last_stats().last() {
-            Some(s) if s.recomputed == 0 => PassOutcome::Reused,
-            Some(s) if s.engine == CaseEngine::Cone => PassOutcome::Cone {
-                recomputed: s.recomputed,
-            },
-            _ => PassOutcome::Computed,
+fn arrivals_outcome(cache: &IncrementalCache) -> PassOutcome {
+    match cache.last_stats().last() {
+        Some(s) if s.recomputed == 0 => PassOutcome::Reused,
+        Some(s) if s.engine == CaseEngine::Cone => PassOutcome::Cone {
+            recomputed: s.recomputed,
         },
-        None => PassOutcome::Computed,
+        _ => PassOutcome::Computed,
     }
 }
 
@@ -1178,6 +1053,152 @@ mod tests {
             crate::fingerprint::report_fingerprint(design.netlist(), &r),
             crate::fingerprint::report_fingerprint(design.netlist(), &cold)
         );
+    }
+
+    fn cases() -> [PhaseCase; 3] {
+        [
+            PhaseCase::all_active(),
+            PhaseCase::phase(0),
+            PhaseCase::phase(1),
+        ]
+    }
+
+    fn small_datapath() -> Design {
+        let dp = datapath::datapath(Tech::nmos4um(), datapath::DatapathConfig::small());
+        Design::new(dp.netlist)
+    }
+
+    #[test]
+    fn splice_certificate_names_exactly_the_changed_arc_targets() {
+        // Random parametric edits, each driven through the graph pass of
+        // every case against a clone of the graph it splices: the
+        // certificate must list exactly the targets of arcs whose delay
+        // or τ words changed, bit for bit.
+        let mut design = small_datapath();
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions::default();
+        pm.analyze(&design, &opts);
+        let devs: Vec<_> = design.netlist().devices().map(|d| d.id).collect();
+        let nodes: Vec<_> = design
+            .netlist()
+            .node_ids()
+            .filter(|&i| !design.netlist().node(i).role().is_rail())
+            .collect();
+        let mut rng = tv_gen::rng::Rng64::new(0xCE27_5EED);
+        let mut certified = 0usize;
+        for step in 0..200 {
+            if rng.bool(0.5) {
+                let dev = devs[rng.usize_range(0, devs.len())];
+                let w = rng.f64_range(3.0, 12.0);
+                design.resize_device(dev, w, 2.0).unwrap();
+            } else {
+                let node = nodes[rng.usize_range(0, nodes.len())];
+                let pf = rng.f64_range(0.01, 0.1);
+                design.set_node_cap(node, pf).unwrap();
+            }
+            let flow = pm.flow.as_ref().unwrap();
+            let qual = pm.qual.as_ref().unwrap();
+            for (k, case) in cases().into_iter().enumerate() {
+                let old = pm.graphs[k].as_ref().unwrap();
+                let (before, prev_fp) = (old.graph.clone(), old.input_fp);
+                let delta = graph_pass(
+                    &mut pm.graphs[k],
+                    &mut Vec::new(),
+                    design.netlist(),
+                    &flow.value,
+                    &qual.value,
+                    case,
+                    design.stamp(),
+                    Some(&design),
+                    &opts,
+                    flow.output_fp,
+                    qual.output_fp,
+                    1,
+                );
+                let Some((since_fp, changed)) = delta.since else {
+                    continue;
+                };
+                assert_eq!(since_fp, prev_fp, "step {step} case {k}");
+                let words = |a: &crate::graph::Arc| {
+                    [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits)
+                };
+                let after = &pm.graphs[k].as_ref().unwrap().graph;
+                let mut expected: Vec<u32> = before
+                    .arcs
+                    .iter()
+                    .zip(&after.arcs)
+                    .filter(|(x, y)| words(x) != words(y))
+                    .map(|(_, y)| y.to.index() as u32)
+                    .collect();
+                expected.sort_unstable();
+                expected.dedup();
+                assert_eq!(changed, expected, "step {step} case {k}");
+                certified += !changed.is_empty() as usize;
+            }
+        }
+        assert!(certified > 0, "no edit changed an arc");
+    }
+
+    #[test]
+    fn extents_are_built_on_the_first_splice_attempt() {
+        let mut design = small_datapath();
+        let opts = AnalysisOptions::default();
+        // A one-shot run (the `Analyzer` call) and a first session
+        // analyze both leave every extent index unbuilt.
+        let mut oneshot = PassManager::new();
+        oneshot
+            .analyze_inner(design.netlist(), DesignStamp::unique(), None, &opts, false)
+            .unwrap();
+        let mut pm = PassManager::new();
+        pm.analyze(&design, &opts);
+        for m in [&oneshot, &pm] {
+            assert!(m.graphs.iter().flatten().all(|s| s.extents.is_none()));
+        }
+        // The first parametric edit builds them, equal to an eager build
+        // over the same roots.
+        let dev = design.netlist().devices().next().unwrap().id;
+        design.resize_device(dev, 9.0, 2.0).unwrap();
+        pm.analyze(&design, &opts);
+        let nl = design.netlist();
+        for (k, case) in cases().into_iter().enumerate() {
+            let slot = pm.graphs[k].as_ref().unwrap();
+            let builder = GraphBuilder {
+                netlist: nl,
+                flow: &pm.flow.as_ref().unwrap().value,
+                qualification: &pm.qual.as_ref().unwrap().value,
+                case,
+                model: opts.model,
+            };
+            let eager = builder.extents(&slot.roots, &mut BuildScratch::new(nl.node_count()));
+            assert_eq!(slot.extents.as_ref(), Some(&eager), "case {k}");
+        }
+    }
+
+    #[test]
+    fn option_changes_in_a_held_pipeline_match_cold_runs() {
+        // A slope change keeps every graph but must drop the arrival
+        // snapshots; a delay-model change rebuilds the graphs. Either
+        // way the held pipeline answers exactly as a cold run does.
+        let design = small_datapath();
+        let mut pm = PassManager::new();
+        let nl = design.netlist();
+        pm.analyze(&design, &AnalysisOptions::default());
+        let slope_off = AnalysisOptions {
+            slope: tv_rc::SlopeModel::disabled(),
+            ..AnalysisOptions::default()
+        };
+        let lumped = AnalysisOptions {
+            model: crate::options::DelayModel::Lumped,
+            ..slope_off.clone()
+        };
+        for opts in [&slope_off, &lumped, &AnalysisOptions::default()] {
+            let warm = pm.analyze(&design, opts);
+            let cold = crate::Analyzer::new(nl).run(opts);
+            assert_eq!(
+                crate::fingerprint::report_fingerprint(nl, &warm),
+                crate::fingerprint::report_fingerprint(nl, &cold)
+            );
+        }
     }
 
     #[test]

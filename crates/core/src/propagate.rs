@@ -128,7 +128,7 @@ fn finite(v: f64) -> Option<f64> {
 /// reproduce the historical engine: a residue budget of
 /// `64 × (arcs + nodes)` and no deadline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Guards {
+pub(crate) struct Guards {
     /// Overrides the residue worklist's relaxation budget. Exhaustion is
     /// reported via [`PhaseResult::completion`], carrying partial results.
     pub relax_budget: Option<usize>,
@@ -193,103 +193,6 @@ impl PhaseResult {
     }
 }
 
-/// Arrivals of one finished case, node-indexed, as kept by the
-/// incremental cache. Predecessors are stored as **ordinals** into the
-/// node's in-arc list (not global arc ids): arc ids shift when an edit
-/// changes how many arcs an upstream stage emits, but a node whose stage
-/// fingerprint is unchanged keeps the same in-arc list, so its ordinal
-/// stays valid across rebuilds.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedCase {
-    pub(crate) rise: Vec<f64>,
-    pub(crate) fall: Vec<f64>,
-    pub(crate) trans_rise: Vec<f64>,
-    pub(crate) trans_fall: Vec<f64>,
-    pub(crate) pred_rise: Vec<Option<(u32, Edge)>>,
-    pub(crate) pred_fall: Vec<Option<(u32, Edge)>>,
-}
-
-impl CachedCase {
-    /// Snapshots a finished propagation for reuse, translating global
-    /// pred arc ids into in-arc ordinals.
-    pub(crate) fn from_arrivals(graph: &TimingGraph, arr: &Arrivals) -> CachedCase {
-        let ordinal = |node: usize, p: Option<Pred>| {
-            p.map(|p| {
-                let pos = graph
-                    .in_arcs_of_index(node)
-                    .binary_search(&p.arc)
-                    .expect("pred arc is an in-arc of its target");
-                (pos as u32, p.from_edge)
-            })
-        };
-        let n = arr.rise.len();
-        CachedCase {
-            rise: arr.rise.clone(),
-            fall: arr.fall.clone(),
-            trans_rise: arr.trans_rise.clone(),
-            trans_fall: arr.trans_fall.clone(),
-            pred_rise: (0..n).map(|i| ordinal(i, arr.pred_rise[i])).collect(),
-            pred_fall: (0..n).map(|i| ordinal(i, arr.pred_fall[i])).collect(),
-        }
-    }
-
-    /// Overwrites the affected rows of an existing snapshot with a fresh
-    /// result, leaving clean rows untouched — by the reuse invariant
-    /// they are bit-identical to what the snapshot already holds. Saves
-    /// the full O(nodes) re-snapshot on warm runs.
-    pub(crate) fn update_from_arrivals(
-        &mut self,
-        graph: &TimingGraph,
-        arr: &Arrivals,
-        affected: &[bool],
-    ) {
-        let ordinal = |node: usize, p: Option<Pred>| {
-            p.map(|p| {
-                let pos = graph
-                    .in_arcs_of_index(node)
-                    .binary_search(&p.arc)
-                    .expect("pred arc is an in-arc of its target");
-                (pos as u32, p.from_edge)
-            })
-        };
-        for i in (0..arr.rise.len()).filter(|&i| affected[i]) {
-            self.rise[i] = arr.rise[i];
-            self.fall[i] = arr.fall[i];
-            self.trans_rise[i] = arr.trans_rise[i];
-            self.trans_fall[i] = arr.trans_fall[i];
-            self.pred_rise[i] = ordinal(i, arr.pred_rise[i]);
-            self.pred_fall[i] = ordinal(i, arr.pred_fall[i]);
-        }
-    }
-
-    /// Rehydrates one node's cached result against the current graph.
-    fn slot_for(&self, graph: &TimingGraph, node: usize) -> Slot {
-        let pred = |p: Option<(u32, Edge)>| {
-            p.map(|(ord, from_edge)| Pred {
-                arc: graph.in_arcs_of_index(node)[ord as usize],
-                from_edge,
-            })
-        };
-        Slot {
-            rise: self.rise[node],
-            fall: self.fall[node],
-            trans_rise: self.trans_rise[node],
-            trans_fall: self.trans_fall[node],
-            pred_rise: pred(self.pred_rise[node]),
-            pred_fall: pred(self.pred_fall[node]),
-        }
-    }
-}
-
-/// A reuse plan for one case: nodes with `affected[i] == false` are
-/// copied from the cache instead of recomputed. Only valid when the
-/// graph's schedule has no residue (cyclic cases always recompute).
-#[derive(Clone, Copy)]
-pub(crate) struct Reuse<'a> {
-    pub(crate) affected: &'a [bool],
-    pub(crate) cached: &'a CachedCase,
-}
-
 /// Per-node propagation state, kept in level (slot) order during the
 /// walk so each level is one contiguous, chunkable slice.
 #[derive(Debug, Clone, Copy)]
@@ -346,7 +249,6 @@ struct Ctx<'a> {
     /// Node index → slot index (level order, then residue).
     slot_of: &'a [u32],
     is_source: &'a [bool],
-    reuse: Option<Reuse<'a>>,
     /// Fault-injection hook (tests only); called before each evaluation.
     fault: Option<&'a (dyn Fn(u32) + Sync)>,
 }
@@ -395,15 +297,6 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
         );
     }
     let ni = node as usize;
-    if let Some(r) = ctx.reuse {
-        if !r.affected[ni] {
-            // Report the relax count a recomputation would have charged
-            // (one per in-arc, unconditionally) so `PhaseResult::relaxations`
-            // stays bit-identical between warm and cold runs.
-            let would_relax = ctx.graph.in_arcs_of_index(ni).len() as u32;
-            return (r.cached.slot_for(ctx.graph, ni), would_relax);
-        }
-    }
     let mut s = Slot::init(ctx.is_source[ni]);
     let mut relaxed = 0u32;
     for &ai in ctx.graph.in_arcs_of_index(ni) {
@@ -605,62 +498,16 @@ pub fn propagate_with(
     slope: &SlopeModel,
     jobs: usize,
 ) -> PhaseResult {
-    propagate_reuse(
+    propagate_full(
         netlist,
         graph,
         sources,
         endpoints,
         slope,
         jobs,
-        None,
         Guards::default(),
         &mut Workspace::new(),
-    )
-}
-
-/// [`propagate_with`] under explicit resource [`Guards`]. Guard
-/// exhaustion is not an error: the result carries whatever was computed,
-/// with [`PhaseResult::completion`] and [`PhaseResult::unresolved`]
-/// describing what is missing.
-#[allow(clippy::too_many_arguments)]
-pub fn propagate_guarded(
-    netlist: &Netlist,
-    graph: &TimingGraph,
-    sources: &[NodeId],
-    endpoints: &[NodeId],
-    slope: &SlopeModel,
-    jobs: usize,
-    guards: Guards,
-) -> PhaseResult {
-    propagate_reuse(
-        netlist,
-        graph,
-        sources,
-        endpoints,
-        slope,
-        jobs,
         None,
-        guards,
-        &mut Workspace::new(),
-    )
-}
-
-/// The full engine: levelized parallel walk, optional cache reuse,
-/// residue worklist.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate_reuse(
-    netlist: &Netlist,
-    graph: &TimingGraph,
-    sources: &[NodeId],
-    endpoints: &[NodeId],
-    slope: &SlopeModel,
-    jobs: usize,
-    reuse: Option<Reuse<'_>>,
-    guards: Guards,
-    ws: &mut Workspace,
-) -> PhaseResult {
-    propagate_full(
-        netlist, graph, sources, endpoints, slope, jobs, reuse, guards, ws, None,
     )
 }
 
@@ -682,7 +529,7 @@ pub(crate) fn propagate_cone(
     endpoints: &[NodeId],
     slope: &SlopeModel,
     affected: &[bool],
-    cached: &CachedCase,
+    cached: &Arrivals,
     ws: &mut Workspace,
 ) -> PhaseResult {
     let _span = tv_obs::span("propagate");
@@ -701,36 +548,10 @@ pub(crate) fn propagate_cone(
         is_source[s.index()] = true;
     }
 
-    // Materialize the snapshot: values verbatim, predecessors rehydrated
-    // from in-arc ordinals to the current graph's arc ids. Affected rows
-    // are about to be overwritten — and their in-arc lists may have
-    // changed shape, invalidating the stored ordinals — so they are left
-    // unhydrated rather than read.
-    let pred = |node: usize, p: Option<(u32, Edge)>| {
-        p.map(|(ord, from_edge)| Pred {
-            arc: graph.in_arcs_of_index(node)[ord as usize],
-            from_edge,
-        })
-    };
-    let hydrate = |stored: &[Option<(u32, Edge)>]| -> Vec<Option<Pred>> {
-        (0..n)
-            .map(|i| {
-                if affected[i] {
-                    None
-                } else {
-                    pred(i, stored[i])
-                }
-            })
-            .collect()
-    };
-    let mut arr = Arrivals {
-        rise: cached.rise.clone(),
-        fall: cached.fall.clone(),
-        trans_rise: cached.trans_rise.clone(),
-        trans_fall: cached.trans_fall.clone(),
-        pred_rise: hydrate(&cached.pred_rise),
-        pred_fall: hydrate(&cached.pred_fall),
-    };
+    // Materialize the snapshot. Certified steps never change arc
+    // structure, so its predecessor arc ids are the current graph's;
+    // affected rows are overwritten below.
+    let mut arr = cached.clone();
 
     let mut cone_nodes = 0u64;
     let mut cone_relax = 0u64;
@@ -809,18 +630,21 @@ pub(crate) fn propagate_cone(
     }
 }
 
-/// Innermost entry point, additionally taking a fault-injection hook
-/// called with each node index before evaluation. Tests use a panicking
-/// hook to exercise worker isolation; production callers pass `None`.
+/// The full engine — levelized walk, then residue worklist — under
+/// explicit resource [`Guards`] and with a reusable [`Workspace`].
+/// Guard exhaustion is not an error: the result carries whatever was
+/// computed, with [`PhaseResult::completion`] and
+/// [`PhaseResult::unresolved`] describing what is missing. `fault` is
+/// called with each node index before evaluation; tests use a panicking
+/// hook to exercise worker isolation, production callers pass `None`.
 #[allow(clippy::too_many_arguments)]
-fn propagate_full(
+pub(crate) fn propagate_full(
     netlist: &Netlist,
     graph: &TimingGraph,
     sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
     jobs: usize,
-    reuse: Option<Reuse<'_>>,
     guards: Guards,
     ws: &mut Workspace,
     fault: Option<&(dyn Fn(u32) + Sync)>,
@@ -844,14 +668,6 @@ fn propagate_full(
         is_source[s.index()] = true;
     }
 
-    // Reuse plans are only meaningful on fully leveled graphs: the
-    // residue worklist has no per-node locality to exploit.
-    let reuse = if sched.residue.is_empty() {
-        reuse
-    } else {
-        None
-    };
-
     // Slot permutation: leveled nodes in level order, then residue.
     slot_of.clear();
     slot_of.resize(n, 0);
@@ -867,7 +683,6 @@ fn propagate_full(
         slope,
         slot_of: slot_of.as_slice(),
         is_source: is_source.as_slice(),
-        reuse,
         fault,
     };
 
@@ -1364,7 +1179,7 @@ mod tests {
             relax_budget: Some(1),
             deadline: None,
         };
-        let r = propagate_guarded(
+        let r = propagate_full(
             &nl,
             &g,
             &[kick],
@@ -1372,6 +1187,8 @@ mod tests {
             &SlopeModel::calibrated(),
             1,
             guards,
+            &mut Workspace::new(),
+            None,
         );
         assert_eq!(r.completion, Completion::BudgetExhausted);
         assert!(r.cyclic);
@@ -1418,7 +1235,6 @@ mod tests {
             &[y, v],
             &SlopeModel::calibrated(),
             1,
-            None,
             Guards::default(),
             &mut Workspace::new(),
             Some(&hook),
@@ -1462,7 +1278,6 @@ mod tests {
                 &[n2],
                 &SlopeModel::calibrated(),
                 jobs,
-                None,
                 Guards::default(),
                 &mut Workspace::new(),
                 Some(&hook),

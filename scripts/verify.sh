@@ -14,6 +14,13 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== perfbench: build + unit tests =="
+# The benchmark (perfbench/) is a Cargo package of its own that calls
+# the workspace crates' public API; the workspace build never compiles
+# it. Building and testing it here makes a core API change that breaks
+# the benchmark fail verification instead of the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== examples build =="
 # The examples are documentation that compiles; tier-1 alone never
 # builds them, so an API drift can silently rot them without this.

@@ -424,12 +424,13 @@ fn parallel_propagation_bit_identical_to_serial() {
     }
 }
 
-/// Full-pipeline determinism: `Analyzer::run` with jobs 1/2/8 and with
-/// the incremental cache produces bit-identical reports on random
-/// netlists — arrivals, min cycle, and slack included.
+/// Full-pipeline determinism: `Analyzer::run` with jobs 1/2/8 and a
+/// re-analysis through a held `PassManager` produce bit-identical
+/// reports on random netlists — arrivals, min cycle, and slack included.
 #[test]
 fn analyzer_jobs_and_incremental_bit_identical() {
-    use nmos_tv::core::IncrementalCache;
+    use nmos_tv::core::{report_fingerprint, CaseEngine, PassManager};
+    use nmos_tv::netlist::Design;
 
     for seed in 0..6u64 {
         let circuit = random_logic(
@@ -447,11 +448,6 @@ fn analyzer_jobs_and_incremental_bit_identical() {
             },
             AnalysisOptions {
                 jobs: 8,
-                ..AnalysisOptions::default()
-            },
-            AnalysisOptions {
-                incremental: true,
-                jobs: 4,
                 ..AnalysisOptions::default()
             },
         ];
@@ -480,28 +476,31 @@ fn analyzer_jobs_and_incremental_bit_identical() {
             }
         }
 
-        // Cross-run incremental: a warm re-run against a held cache is
-        // bit-identical to cold and recomputes nothing.
-        let mut cache = IncrementalCache::new();
-        let first = Analyzer::new(nl).run_incremental(&AnalysisOptions::default(), &mut cache);
-        let second = Analyzer::new(nl).run_incremental(&AnalysisOptions::default(), &mut cache);
+        // Re-analysis through a held pipeline is bit-identical to cold,
+        // and every residue-free case is served whole from its snapshot.
+        let design = Design::new(nl.clone());
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions {
+            jobs: 4,
+            ..AnalysisOptions::default()
+        };
+        let first = pm.analyze(&design, &opts);
+        let second = pm.analyze(&design, &opts);
+        let cold_fp = report_fingerprint(nl, &cold);
+        assert_eq!(report_fingerprint(nl, &first), cold_fp, "seed={seed}");
+        assert_eq!(report_fingerprint(nl, &second), cold_fp, "seed={seed}");
         for i in nl.node_ids() {
-            assert_eq!(
-                first.combinational.arrival(i).map(f64::to_bits),
-                second.combinational.arrival(i).map(f64::to_bits),
-                "seed={seed} warm node={i:?}"
-            );
             assert_eq!(
                 cold.combinational.arrival(i).map(f64::to_bits),
                 second.combinational.arrival(i).map(f64::to_bits),
                 "seed={seed} warm-vs-cold node={i:?}"
             );
         }
-        for s in cache.last_stats() {
-            // Acyclic cases reuse everything on an identical re-run;
-            // cyclic cases (all-active view of latched logic) recompute.
+        for s in pm.cache_stats() {
+            // Residue-free cases reuse everything on an identical
+            // re-run; cyclic cases keep no snapshot and walk in full.
             assert!(
-                s.recomputed == 0 || s.recomputed == s.nodes,
+                s.recomputed == 0 || (s.engine == CaseEngine::Full && s.recomputed == s.nodes),
                 "seed={seed} case={:?}: partial recompute {} of {} on identical input",
                 s.case,
                 s.recomputed,
