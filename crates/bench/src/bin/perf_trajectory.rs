@@ -744,6 +744,10 @@ fn check(entries: &[Entry], baseline_path: &str, threshold: f64) -> ExitCode {
         eprintln!("perf_trajectory: {msg}");
         failed = true;
     }
+    if let Err(msg) = check_warm_wall(entries) {
+        eprintln!("perf_trajectory: {msg}");
+        failed = true;
+    }
     if let Err(msg) = check_macro_sharing(&runs) {
         eprintln!("perf_trajectory: {msg}");
         failed = true;
@@ -806,6 +810,40 @@ fn check_cone_work(entries: &[Entry]) -> Result<(), String> {
         return Err(format!(
             "warm mips32 resize does {warm} relaxations, within 2x of the cold count {cold}: \
              the cone engine is not engaging"
+        ));
+    }
+    Ok(())
+}
+
+/// Bound of [`check_warm_wall`]: warm resize over cold analyze.
+const WARM_WALL_RATIO: f64 = 0.15;
+
+/// Wall gate on the current run: a warm mips32 resize — the edit plus
+/// its whole `analyze` — must cost under 0.15x of a cold one-shot
+/// analyze of the same design, each taken as its bench's fastest
+/// iteration. The relaxation gate above passes while wall time stays at
+/// a fifth of cold (every whole-design pass re-running on each edit);
+/// this one pins the wall itself. Both figures move with the host, so
+/// the ratio is host-independent.
+fn check_warm_wall(entries: &[Entry]) -> Result<(), String> {
+    let min_of = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.min_ns);
+    let (Some(cold), Some(warm)) = (
+        min_of("session/mips32-cold-analyze-only"),
+        min_of("session/mips32-warm-resize"),
+    ) else {
+        return Ok(());
+    };
+    println!(
+        "{:<28} {:>14.0} {:>14.0} {:>7.2}x  warm wall gate (must stay under {WARM_WALL_RATIO}x)",
+        "warm-resize wall",
+        cold,
+        warm,
+        warm / cold
+    );
+    if warm >= WARM_WALL_RATIO * cold {
+        return Err(format!(
+            "warm mips32 resize takes {warm:.0} ns, >= {WARM_WALL_RATIO}x the cold analyze \
+             {cold:.0} ns: a whole-design pass is re-running on warm edits"
         ));
     }
     Ok(())

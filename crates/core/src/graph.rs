@@ -527,11 +527,12 @@ pub(crate) struct SpannedBuild {
 /// function verifies arc by arc before overwriting anything within the
 /// span. The target of every arc whose delay or τ words change (compared
 /// bit for bit) is pushed onto `changed`, in arc order with repeats:
-/// exactly the nodes whose in-arc words differ after the splice. On any
-/// mismatch (or a panic inside a stage build) it returns `Err` and the
-/// caller must discard the graph and rebuild from scratch: earlier
-/// affected roots may already have been overwritten, so an `Err` graph
-/// is *not* restored to its prior state.
+/// exactly the nodes whose in-arc words differ after the splice. `Ok`
+/// says whether some changed arc's rise or fall delay flipped between
+/// finite and infinite. On any mismatch (or a panic inside a stage
+/// build) it returns `Err` and the caller must discard the graph and
+/// rebuild from scratch: earlier affected roots may already have been
+/// overwritten, so an `Err` graph is *not* restored to its prior state.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn splice_roots(
     graph: &mut TimingGraph,
@@ -542,8 +543,9 @@ pub(crate) fn splice_roots(
     affected: &[u32],
     scratch: &mut BuildScratch,
     changed: &mut Vec<u32>,
-) -> Result<(), ()> {
+) -> Result<bool, ()> {
     let mut fresh: Vec<Arc> = Vec::new();
+    let mut flips = false;
     for &k in affected {
         let k = k as usize;
         let span = spans[k] as usize..spans[k + 1] as usize;
@@ -565,11 +567,13 @@ pub(crate) fn splice_roots(
                 |a: &Arc| [a.rise_delay, a.fall_delay, a.rise_tau, a.fall_tau].map(f64::to_bits);
             if words(o) != words(&f) {
                 changed.push(f.to.index() as u32);
+                flips |= o.rise_delay.is_finite() != f.rise_delay.is_finite()
+                    || o.fall_delay.is_finite() != f.fall_delay.is_finite();
             }
             *o = f;
         }
     }
-    Ok(())
+    Ok(flips)
 }
 
 impl<'a> GraphBuilder<'a> {

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use tv_clocks::latch::Latch;
 use tv_netlist::{Netlist, NodeId};
 
-use crate::graph::TimingGraph;
+use crate::graph::{Arc, TimingGraph};
 
 /// A same-phase race-through hazard.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +35,22 @@ pub struct RaceHazard {
 /// `f64::INFINITY` where unreachable. Uses each arc's smaller finite
 /// delay — the best case the race needs.
 pub fn min_arrivals(netlist: &Netlist, graph: &TimingGraph, sources: &[NodeId]) -> Vec<f64> {
-    let n = netlist.node_count();
+    min_arrivals_run(netlist.node_count(), graph, sources).0
+}
+
+/// The smaller of an arc's two delays, when finite.
+#[inline]
+fn best_delay(arc: &Arc) -> Option<f64> {
+    let d = arc.rise_delay.min(arc.fall_delay);
+    d.is_finite().then_some(d)
+}
+
+/// [`min_arrivals`], plus whether the worklist drained before its
+/// budget. A candidate is accepted only when strictly smaller, so a
+/// drained worklist leaves every non-source node at exactly the minimum
+/// over its in-arcs of `from + delay`: on a leveled graph that system
+/// has one solution, whatever order the relaxations ran in.
+fn min_arrivals_run(n: usize, graph: &TimingGraph, sources: &[NodeId]) -> (Vec<f64>, bool) {
     let mut arr = vec![f64::INFINITY; n];
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     let mut queued = vec![false; n];
@@ -53,19 +68,18 @@ pub fn min_arrivals(netlist: &Netlist, graph: &TimingGraph, sources: &[NodeId]) 
     while let Some(node) = queue.pop_front() {
         queued[node.index()] = false;
         if relaxations > budget {
-            break;
+            return (arr, false);
         }
         let here = arr[node.index()];
         for &ai in graph.out_arcs_of(node) {
             let arc = &graph.arcs[ai as usize];
-            let d = arc.rise_delay.min(arc.fall_delay);
-            if !d.is_finite() {
+            let Some(d) = best_delay(arc) else {
                 continue;
-            }
+            };
             let cand = here + d;
             let to = arc.to.index();
             relaxations += 1;
-            if cand < arr[to] - 1e-15 {
+            if cand < arr[to] {
                 arr[to] = cand;
                 if !queued[to] {
                     queued[to] = true;
@@ -74,7 +88,131 @@ pub fn min_arrivals(netlist: &Netlist, graph: &TimingGraph, sources: &[NodeId]) 
             }
         }
     }
-    arr
+    (arr, true)
+}
+
+/// One phase's race analysis with the state a later certified step
+/// re-derives it from: min arrivals from the phase's storage nodes and
+/// each storage node's racing (incoming) minimum.
+pub(crate) struct RaceState {
+    min_arr: Vec<f64>,
+    /// The phase's storage nodes in latch order (sources and victims).
+    storages: Vec<NodeId>,
+    is_storage: Vec<bool>,
+    /// Per node: the minimum over its in-arcs of `from + delay`;
+    /// meaningful at storage nodes only.
+    incoming: Vec<f64>,
+    /// The hazards, most dangerous first.
+    pub(crate) hazards: Vec<RaceHazard>,
+    /// Whether `min_arr` is the unique fixpoint a level-order pull
+    /// reproduces: the graph is leveled and the worklist drained.
+    pub(crate) exact: bool,
+}
+
+impl RaceState {
+    /// The full analysis of `phase` over its graph.
+    pub(crate) fn cold(
+        netlist: &Netlist,
+        graph: &TimingGraph,
+        latches: &[Latch],
+        phase: u8,
+    ) -> RaceState {
+        let n = netlist.node_count();
+        let storages: Vec<NodeId> = latches
+            .iter()
+            .filter(|l| l.phase == phase)
+            .map(|l| l.storage)
+            .collect();
+        let (min_arr, drained) = if storages.is_empty() {
+            (vec![f64::INFINITY; n], true)
+        } else {
+            min_arrivals_run(n, graph, &storages)
+        };
+        let mut is_storage = vec![false; n];
+        for &s in &storages {
+            is_storage[s.index()] = true;
+        }
+        let mut state = RaceState {
+            min_arr,
+            incoming: vec![f64::INFINITY; n],
+            is_storage,
+            hazards: Vec::new(),
+            exact: drained && graph.schedule.residue.is_empty(),
+            storages,
+        };
+        for k in 0..state.storages.len() {
+            let s = state.storages[k].index();
+            state.incoming[s] = state.incoming_min(graph, s);
+        }
+        state.collect_hazards();
+        state
+    }
+
+    /// Re-derives the state after a certified step whose arrival cone
+    /// is `cone` (level order, forward-closed, leveled nodes only):
+    /// min arrivals are re-pulled over the cone, and racing minima are
+    /// recomputed at the storage nodes inside it. Requires
+    /// [`RaceState::exact`]; the result equals [`RaceState::cold`] on
+    /// the current graph bit for bit.
+    pub(crate) fn update(&mut self, graph: &TimingGraph, cone: &[u32]) {
+        debug_assert!(self.exact);
+        for &v in cone {
+            let v = v as usize;
+            self.min_arr[v] = if self.is_storage[v] {
+                0.0
+            } else {
+                self.incoming_min(graph, v)
+            };
+        }
+        let mut moved = false;
+        for &v in cone {
+            let v = v as usize;
+            if self.is_storage[v] {
+                let m = self.incoming_min(graph, v);
+                moved |= m.to_bits() != self.incoming[v].to_bits();
+                self.incoming[v] = m;
+            }
+        }
+        if moved {
+            self.collect_hazards();
+        }
+    }
+
+    /// The min-arrival buffer, for tests that check it is updated in
+    /// place.
+    #[cfg(test)]
+    pub(crate) fn min_arrival_buffer(&self) -> &[f64] {
+        &self.min_arr
+    }
+
+    /// The minimum over `v`'s in-arcs of `from + delay` (`min` is
+    /// order-independent, so any in-arc order gives the same bits).
+    fn incoming_min(&self, graph: &TimingGraph, v: usize) -> f64 {
+        let mut m = f64::INFINITY;
+        for &ai in graph.in_arcs_of_index(v) {
+            let arc = &graph.arcs[ai as usize];
+            if let Some(d) = best_delay(arc) {
+                m = m.min(self.min_arr[arc.from.index()] + d);
+            }
+        }
+        m
+    }
+
+    fn collect_hazards(&mut self) {
+        self.hazards = self
+            .storages
+            .iter()
+            .filter_map(|&s| {
+                let m = self.incoming[s.index()];
+                m.is_finite().then_some(RaceHazard {
+                    capture: s,
+                    min_arrival: m,
+                })
+            })
+            .collect();
+        self.hazards
+            .sort_by(|a, b| a.min_arrival.total_cmp(&b.min_arrival));
+    }
 }
 
 /// Finds same-phase race-through hazards in one phase's graph: storage
@@ -87,50 +225,7 @@ pub fn race_check(
     latches: &[Latch],
     phase: u8,
 ) -> Vec<RaceHazard> {
-    let storages: Vec<NodeId> = latches
-        .iter()
-        .filter(|l| l.phase == phase)
-        .map(|l| l.storage)
-        .collect();
-    if storages.is_empty() {
-        return Vec::new();
-    }
-    let arr = min_arrivals(netlist, graph, &storages);
-
-    // A storage node is both source (arrival 0) and potential victim; the
-    // racing arrival is the minimum over its *incoming* arcs.
-    let mut is_storage = vec![false; netlist.node_count()];
-    for &s in &storages {
-        is_storage[s.index()] = true;
-    }
-    let mut incoming_min = vec![f64::INFINITY; netlist.node_count()];
-    for arc in &graph.arcs {
-        let d = arc.rise_delay.min(arc.fall_delay);
-        if !d.is_finite() {
-            continue;
-        }
-        let from_arr = arr[arc.from.index()];
-        if !from_arr.is_finite() {
-            continue;
-        }
-        let to = arc.to.index();
-        if is_storage[to] {
-            incoming_min[to] = incoming_min[to].min(from_arr + d);
-        }
-    }
-
-    let mut hazards: Vec<RaceHazard> = storages
-        .iter()
-        .filter_map(|&s| {
-            let m = incoming_min[s.index()];
-            m.is_finite().then_some(RaceHazard {
-                capture: s,
-                min_arrival: m,
-            })
-        })
-        .collect();
-    hazards.sort_by(|a, b| a.min_arrival.total_cmp(&b.min_arrival));
-    hazards
+    RaceState::cold(netlist, graph, latches, phase).hazards
 }
 
 #[cfg(test)]
@@ -254,5 +349,90 @@ mod tests {
         let min = min_arrivals(&nl, &g, &[a]);
         assert!(min[x.index()].is_finite());
         assert!(min[y.index()].is_infinite());
+    }
+
+    #[test]
+    fn min_arrivals_accept_strictly_smaller_candidates() {
+        // x is reached first by a → x (FIFO order) and then by the
+        // two-arc path a → y → x, one ulp faster. Strict acceptance
+        // must take the faster path even though it improves by less
+        // than 1e-15: only then is the result the unique fixpoint a
+        // level-order pull reproduces.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let a = b.input("a");
+        let y = b.node("y");
+        let x = b.node("x");
+        b.inverter("iy", a, y);
+        b.nand("gx", &[a, y], x);
+        let nl = b.finish().unwrap();
+        let flow = analyze(&nl, &RuleSet::all());
+        let q = qualify_with_flow(&nl, &flow);
+        let mut g = TimingGraph::build(
+            &nl,
+            &flow,
+            &q,
+            PhaseCase::all_active(),
+            DelayModel::Elmore,
+            1.0,
+        );
+        let slow = 1.0 + f64::EPSILON;
+        for arc in &mut g.arcs {
+            let d = match (arc.from, arc.to) {
+                (f, t) if f == a && t == x => slow,
+                (f, t) if f == a && t == y => 0.25,
+                (f, t) if f == y && t == x => 0.75,
+                _ => continue,
+            };
+            arc.rise_delay = d;
+            arc.fall_delay = d;
+        }
+        let min = min_arrivals(&nl, &g, &[a]);
+        assert_eq!(min[y.index()], 0.25);
+        assert_eq!(min[x.index()], 1.0, "the one-ulp-faster path was rejected");
+        assert!(min[x.index()] < slow);
+    }
+
+    #[test]
+    fn warm_update_equals_a_cold_race_check() {
+        // Two same-phase latches in series with logic between: a delay
+        // change inside the cone moves the racing minimum, and the
+        // re-pull over the cone lands exactly where a cold check does.
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let phi1 = b.clock("phi1", 0);
+        let d = b.input("d");
+        let m = b.node("m");
+        b.dynamic_latch("first", phi1, d, m);
+        let mut prev = m;
+        for i in 0..3 {
+            let nx = b.node(format!("g{i}"));
+            b.inverter(format!("i{i}"), prev, nx);
+            prev = nx;
+        }
+        let q = b.node("q");
+        b.dynamic_latch("second", phi1, prev, q);
+        let nl = b.finish().unwrap();
+        let (mut g, latches) = setup(&nl, 0);
+        let mut state = RaceState::cold(&nl, &g, &latches, 0);
+        assert!(state.exact);
+        assert_eq!(state.hazards.len(), 1);
+        let g1 = nl.node_by_name("g1").unwrap();
+        for arc in g.arcs.iter_mut().filter(|a| a.to == g1) {
+            arc.rise_delay *= 3.0;
+            arc.fall_delay *= 3.0;
+        }
+        let mut marked = vec![false; nl.node_count()];
+        marked[g1.index()] = true;
+        g.fanout_closure(&mut marked, vec![g1.index()]);
+        let cone: Vec<u32> = g
+            .schedule
+            .order
+            .iter()
+            .copied()
+            .filter(|&i| marked[i as usize])
+            .collect();
+        state.update(&g, &cone);
+        let cold = race_check(&nl, &g, &latches, 0);
+        assert_eq!(state.hazards, cold);
+        assert!(cold[0].min_arrival > 0.0);
     }
 }

@@ -4,26 +4,38 @@
 //! fingerprint the arcs now reflect and, when the pass reused,
 //! revalidated or spliced its graph, the fingerprint they reflected
 //! before plus exactly which nodes have an in-arc whose delay/τ words
-//! changed in between. The cache keeps one arrival snapshot per
-//! residue-free case, tagged with the graph fingerprint it was taken
-//! under. A certificate naming that fingerprint is served by
-//! [`crate::propagate`]'s demand-driven cone engine: only the fanout
-//! closure of the listed nodes is re-relaxed, everything else is copied
-//! from the snapshot, bit-identical to the full walk.
+//! changed in between. The cache keeps one arrival snapshot per case,
+//! tagged with the graph fingerprint it was taken under. A certificate
+//! naming that fingerprint is served by [`crate::propagate`]'s
+//! demand-driven cone engine: only the fanout closure of the listed
+//! nodes is re-relaxed, everything else is copied from the snapshot,
+//! bit-identical to the full walk. A phase case's race state
+//! ([`RaceState`]) rides along, re-derived over the same cone.
+//!
+//! A case with a cyclic residue keeps a snapshot only when the residue
+//! screen *diverged* (the combinational view of a latch design): the
+//! residue then sits at its seed values and its unresolved list and
+//! warning are fixed, so a certified step re-relaxes only the leveled
+//! part of the cone — nothing leveled lies downstream of the residue.
+//! The verdict can move only when an arc's delay or a cone node's
+//! arrival changes finiteness; either falls back to the full walk.
 //!
 //! Everything else is a plain full walk: a rebuilt graph (no
-//! certificate), a snapshot the certificate does not name, a case with
-//! a cyclic residue (the worklist relaxation has no per-node reuse
-//! story, so such cases keep no snapshot), an armed deadline, a cone
-//! covering more than half the graph, or a slope-model change (slope
-//! acts at propagation time, where no graph fingerprint sees it, so it
-//! drops every snapshot).
+//! certificate), a snapshot the certificate does not name, a converging
+//! residue (the worklist relaxation has no per-node reuse story), an
+//! armed deadline, a cone covering more than half the graph, or a
+//! slope-model change (slope acts at propagation time, where no graph
+//! fingerprint sees it, so it drops every snapshot).
 
-use tv_netlist::{FxHashMap, Netlist, NodeId};
+use tv_clocks::latch::Latch;
+use tv_netlist::{Diagnostic, FxHashMap, Netlist, NodeId};
 use tv_rc::SlopeModel;
 
 use crate::graph::TimingGraph;
-use crate::propagate::{propagate_cone, propagate_full, Arrivals, Guards, PhaseResult, Workspace};
+use crate::hold::{RaceHazard, RaceState};
+use crate::propagate::{
+    propagate_cone, propagate_full, Arrivals, Completion, Guards, PhaseResult, Workspace,
+};
 
 /// Which propagation engine served one analysis case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,8 +43,8 @@ pub enum CaseEngine {
     /// The demand-driven cone engine: only the affected fanout cone was
     /// re-relaxed over a cached snapshot.
     Cone,
-    /// The full levelized walk — cold, residue present, an oversized
-    /// cone, or a deadline guard armed.
+    /// The full levelized walk — cold, a converging residue, an
+    /// oversized cone, a finiteness flip, or a deadline guard armed.
     Full,
 }
 
@@ -68,6 +80,18 @@ pub(crate) struct CaseDelta {
     /// source and endpoint sets are unchanged across that step. `None`
     /// means a full rebuild — nothing is certified.
     pub(crate) since: Option<(u64, Vec<u32>)>,
+    /// Whether some changed arc's rise or fall delay flipped between
+    /// finite and infinite across the certified step.
+    pub(crate) flips: bool,
+}
+
+/// The parts of a diverged-residue case's result that no certified step
+/// can move while the verdict holds.
+struct Residue {
+    in_residue: Vec<bool>,
+    relaxations: usize,
+    unresolved: Vec<NodeId>,
+    diagnostics: Vec<Diagnostic>,
 }
 
 /// A snapshot of one case's finished arrivals.
@@ -75,6 +99,15 @@ struct CaseEntry {
     /// Graph-pass input fingerprint the snapshot was taken under.
     graph_fp: u64,
     arrivals: Arrivals,
+    /// `Some` when the case's residue diverged; `None` when the graph
+    /// is fully leveled.
+    residue: Option<Residue>,
+    /// The cone of the certified step that produced `graph_fp`, with
+    /// the fingerprint it stepped from; `None` after a full walk.
+    step: Option<(u64, Vec<u32>)>,
+    /// Phase cases: the race state and the graph fingerprint it
+    /// reflects.
+    race: Option<(u64, RaceState)>,
 }
 
 /// The arrival cache a [`crate::PassManager`] holds across analyses.
@@ -123,7 +156,6 @@ impl IncrementalCache {
     ) -> PhaseResult {
         let n = netlist.node_count();
         let key = graph.case.active;
-        let clean = graph.schedule.residue.is_empty();
         let IncrementalCache {
             cases,
             stats,
@@ -143,103 +175,189 @@ impl IncrementalCache {
 
         // The certified seeds: no edit at all when the snapshot already
         // reflects the current arcs, the splice's changed targets when it
-        // reflects the arcs just before the certified step.
-        let snapshot = cases
-            .get_mut(&key)
-            .filter(|e| clean && e.arrivals.rise.len() == n);
+        // reflects the arcs just before the certified step — unless an
+        // arc flipped finiteness under a diverged residue's verdict.
+        let snapshot = cases.get_mut(&key).filter(|e| e.arrivals.rise.len() == n);
         let certified = match (snapshot, &delta.since) {
-            (Some(e), _) if e.graph_fp == delta.graph_fp => Some((e, &[][..], true)),
-            (Some(e), Some((prev_fp, changed))) if e.graph_fp == *prev_fp => {
-                Some((e, changed.as_slice(), false))
+            (Some(e), _) if e.graph_fp == delta.graph_fp => Some((e, &[][..])),
+            (Some(e), Some((prev_fp, changed)))
+                if e.graph_fp == *prev_fp && !(delta.flips && e.residue.is_some()) =>
+            {
+                Some((e, changed.as_slice()))
             }
             _ => None,
         };
 
-        let Some((entry, seeds, hit)) = certified else {
-            let result = propagate_full(
-                netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
-            );
-            if clean {
-                cases.insert(
-                    key,
-                    CaseEntry {
-                        graph_fp: delta.graph_fp,
-                        arrivals: result.arrivals.clone(),
-                    },
+        let mut fallback = None;
+        if let Some((entry, seeds)) = certified {
+            let hit = entry.graph_fp == delta.graph_fp;
+            let in_residue = entry.residue.as_ref().map(|r| r.in_residue.as_slice());
+            let cone = leveled_cone(graph, seeds, in_residue);
+            // The cone engine wins while the affected cone is a minority
+            // of the graph; past half the nodes the chunkable full walk
+            // is at least as good, and an armed deadline always needs the
+            // walk's level-boundary checks. Both cut-offs depend only on
+            // the certified edit, never on `jobs` — the work counters
+            // stay schedule-independent.
+            if guards.deadline.is_none() && cone.len() * 2 <= n {
+                tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
+                let (mut result, flipped) = propagate_cone(
+                    graph,
+                    sources,
+                    endpoints,
+                    slope,
+                    &cone,
+                    &entry.arrivals,
+                    workspace,
                 );
-            } else {
-                cases.remove(&key);
+                if !(flipped && entry.residue.is_some()) {
+                    if let Some(r) = &entry.residue {
+                        result.cyclic = true;
+                        result.relaxations = r.relaxations;
+                        result.completion = Completion::BudgetExhausted;
+                        result.unresolved.clone_from(&r.unresolved);
+                        result.diagnostics.clone_from(&r.diagnostics);
+                    }
+                    // Rows outside the cone are bit-identical to what the
+                    // snapshot holds: copy only the cone's.
+                    let (old, new) = (&mut entry.arrivals, &result.arrivals);
+                    for &i in &cone {
+                        let i = i as usize;
+                        old.rise[i] = new.rise[i];
+                        old.fall[i] = new.fall[i];
+                        old.trans_rise[i] = new.trans_rise[i];
+                        old.trans_fall[i] = new.trans_fall[i];
+                        old.pred_rise[i] = new.pred_rise[i];
+                        old.pred_fall[i] = new.pred_fall[i];
+                    }
+                    let recomputed = cone.len();
+                    entry.step = Some((entry.graph_fp, cone));
+                    entry.graph_fp = delta.graph_fp;
+                    tv_obs::incr(if hit {
+                        tv_obs::Counter::CacheCaseHits
+                    } else {
+                        tv_obs::Counter::CacheCaseMisses
+                    });
+                    tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
+                    tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
+                    stats.push(CaseStats {
+                        case: key,
+                        nodes: n,
+                        recomputed,
+                        engine: CaseEngine::Cone,
+                    });
+                    return result;
+                }
             }
-            tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
-            tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, n as u64);
-            stats.push(CaseStats {
-                case: key,
-                nodes: n,
-                recomputed: n,
-                engine: CaseEngine::Full,
-            });
-            return result;
-        };
-
-        let mut affected = vec![false; n];
-        for &i in seeds {
-            affected[i as usize] = true;
+            fallback = Some((hit, cone.len()));
         }
-        graph.fanout_closure(&mut affected, seeds.iter().map(|&i| i as usize).collect());
-        let recomputed = affected.iter().filter(|&&d| d).count();
-        // The cone engine wins while the affected cone is a minority of
-        // the graph; past half the nodes the chunkable full walk is at
-        // least as good, and an armed deadline always needs the walk's
-        // level-boundary checks. Both cut-offs depend only on the
-        // certified edit, never on `jobs` — the work counters stay
-        // schedule-independent.
-        let (result, engine) = if guards.deadline.is_none() && recomputed * 2 <= n {
-            tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
-            let r = propagate_cone(
-                graph,
-                sources,
-                endpoints,
-                slope,
-                &affected,
-                &entry.arrivals,
-                workspace,
-            );
-            (r, CaseEngine::Cone)
-        } else {
-            tv_obs::incr(tv_obs::Counter::ConeFallbacks);
-            let r = propagate_full(
-                netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
-            );
-            (r, CaseEngine::Full)
-        };
 
-        // Clean rows are bit-identical to what the snapshot holds: copy
-        // only the affected ones.
-        entry.graph_fp = delta.graph_fp;
-        let (old, new) = (&mut entry.arrivals, &result.arrivals);
-        for i in (0..n).filter(|&i| affected[i]) {
-            old.rise[i] = new.rise[i];
-            old.fall[i] = new.fall[i];
-            old.trans_rise[i] = new.trans_rise[i];
-            old.trans_fall[i] = new.trans_fall[i];
-            old.pred_rise[i] = new.pred_rise[i];
-            old.pred_fall[i] = new.pred_fall[i];
-        }
-        tv_obs::incr(if hit {
-            tv_obs::Counter::CacheCaseHits
-        } else {
-            tv_obs::Counter::CacheCaseMisses
+        let (result, diverged) = propagate_full(
+            netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
+        );
+        let residue = diverged.then(|| {
+            let mut in_residue = vec![false; n];
+            for &r in &graph.schedule.residue {
+                in_residue[r as usize] = true;
+            }
+            Residue {
+                in_residue,
+                relaxations: result.relaxations,
+                unresolved: result.unresolved.clone(),
+                diagnostics: result.diagnostics.clone(),
+            }
         });
-        tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
+        if graph.schedule.residue.is_empty() || residue.is_some() {
+            cases.insert(
+                key,
+                CaseEntry {
+                    graph_fp: delta.graph_fp,
+                    arrivals: result.arrivals.clone(),
+                    residue,
+                    step: None,
+                    race: None,
+                },
+            );
+        } else {
+            cases.remove(&key);
+        }
+        let recomputed = match fallback {
+            Some((hit, recomputed)) => {
+                tv_obs::incr(tv_obs::Counter::ConeFallbacks);
+                tv_obs::incr(if hit {
+                    tv_obs::Counter::CacheCaseHits
+                } else {
+                    tv_obs::Counter::CacheCaseMisses
+                });
+                tv_obs::add(tv_obs::Counter::CacheNodesReused, (n - recomputed) as u64);
+                recomputed
+            }
+            None => {
+                tv_obs::incr(tv_obs::Counter::CacheCaseMisses);
+                n
+            }
+        };
         tv_obs::add(tv_obs::Counter::CacheNodesRecomputed, recomputed as u64);
         stats.push(CaseStats {
             case: key,
             nodes: n,
             recomputed,
-            engine,
+            engine: CaseEngine::Full,
         });
         result
     }
+
+    /// Same-phase race hazards of phase `p`, whose arrivals were just
+    /// propagated: re-derived over the arrival step's cone when the
+    /// case's race state reflects the graph that step started from,
+    /// computed in full (and kept when exact) otherwise.
+    pub(crate) fn race_case(
+        &mut self,
+        netlist: &Netlist,
+        graph: &TimingGraph,
+        latches: &[Latch],
+        p: u8,
+    ) -> Vec<RaceHazard> {
+        let Some(entry) = self.cases.get_mut(&Some(p)) else {
+            return RaceState::cold(netlist, graph, latches, p).hazards;
+        };
+        if let (Some((race_fp, race)), Some((from_fp, cone))) = (&mut entry.race, &entry.step) {
+            if race_fp == from_fp {
+                race.update(graph, cone);
+                *race_fp = entry.graph_fp;
+            }
+        }
+        match &entry.race {
+            Some((race_fp, race)) if *race_fp == entry.graph_fp => race.hazards.clone(),
+            _ => {
+                let race = RaceState::cold(netlist, graph, latches, p);
+                let hazards = race.hazards.clone();
+                entry.race = race.exact.then_some((entry.graph_fp, race));
+                hazards
+            }
+        }
+    }
+}
+
+/// The leveled nodes a certified step re-relaxes, in level order: the
+/// fanout closure of `seeds`, stopped at residue nodes (`in_residue`,
+/// for a diverged case), which sit at their seed values — and nothing
+/// leveled lies downstream of a residue node.
+fn leveled_cone(graph: &TimingGraph, seeds: &[u32], in_residue: Option<&[bool]>) -> Vec<u32> {
+    // Residue nodes start marked, so the closure never enters them, and
+    // the level order lists leveled nodes only.
+    let mut marked = in_residue.map_or_else(|| vec![false; graph.node_count()], <[bool]>::to_vec);
+    let seeds: Vec<usize> = seeds
+        .iter()
+        .map(|&s| s as usize)
+        .filter(|&s| !marked[s])
+        .collect();
+    for &s in &seeds {
+        marked[s] = true;
+    }
+    graph.fanout_closure(&mut marked, seeds);
+    let order = graph.schedule.order.iter().copied();
+    order.filter(|&i| marked[i as usize]).collect()
 }
 
 #[cfg(test)]
@@ -292,6 +410,7 @@ mod tests {
         CaseDelta {
             graph_fp: fp,
             since: None,
+            flips: false,
         }
     }
 
@@ -313,6 +432,7 @@ mod tests {
         CaseDelta {
             graph_fp: fp,
             since: Some((prev_fp, changed)),
+            flips: false,
         }
     }
 
@@ -401,6 +521,7 @@ mod tests {
             let step = CaseDelta {
                 graph_fp: fp,
                 since: Some((prev, Vec::new())),
+                flips: false,
             };
             cache.begin_run(&slope);
             let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &step);
@@ -419,6 +540,7 @@ mod tests {
             CaseDelta {
                 graph_fp: 9,
                 since: Some((8, Vec::new())),
+                flips: false,
             },
         ] {
             let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| delta, Guards::default());
@@ -534,23 +656,217 @@ mod tests {
         assert_bit_identical(&nl, &cold, &warm);
     }
 
-    #[test]
-    fn residue_case_keeps_no_snapshot() {
-        // A ring oscillator never levels: even a certified no-change
-        // step walks in full, because no snapshot was kept.
+    /// A three-inverter ring, kicked by input `kick` when `kicked`,
+    /// beside an inverter chain off input `a` with an optional extra
+    /// wiring cap on chain stage `cap_at`.
+    fn ring_and_chain(kicked: bool, cap_at: Option<usize>) -> tv_netlist::Netlist {
         let mut b = NetlistBuilder::new(Tech::nmos4um());
         let kick = b.input("kick");
         let n0 = b.node("n0");
         let n1 = b.node("n1");
         let n2 = b.node("n2");
-        b.nand("g0", &[kick, n2], n0);
+        if kicked {
+            b.nand("g0", &[kick, n2], n0);
+        } else {
+            b.inverter("g0", n2, n0);
+        }
         b.inverter("g1", n0, n1);
         b.inverter("g2", n1, n2);
-        let nl = b.finish().unwrap();
+        let mut prev = b.input("a");
+        for i in 0..6 {
+            let nx = b.node(format!("s{i}"));
+            b.inverter(format!("i{i}"), prev, nx);
+            if cap_at == Some(i) {
+                b.add_cap(nx, 0.3).unwrap();
+            }
+            prev = nx;
+        }
+        b.finish().unwrap()
+    }
+
+    /// [`assert_bit_identical`] plus the residue bookkeeping a cyclic
+    /// case reports.
+    fn assert_same_verdict(nl: &tv_netlist::Netlist, a: &PhaseResult, b: &PhaseResult) {
+        assert_bit_identical(nl, a, b);
+        assert_eq!(a.cyclic, b.cyclic);
+        assert_eq!(a.completion, b.completion);
+        assert_eq!(a.unresolved, b.unresolved);
+        let diags = |r: &PhaseResult| {
+            r.diagnostics
+                .iter()
+                .map(|d| (d.code, d.message.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(diags(a), diags(b));
+    }
+
+    #[test]
+    fn diverged_residue_case_takes_the_leveled_cone() {
+        // The kicked ring's residue diverges: its rows sit at seed
+        // values, so a cap edit on the chain re-relaxes only the chain's
+        // leveled cone, and the result — unresolved list, warning and
+        // charged relaxations included — equals the full walk.
+        let (before, after) = (ring_and_chain(true, None), ring_and_chain(true, Some(4)));
+        let (warm, stats, cold) = warm_step(
+            &before,
+            &after,
+            |a, b| certify(1, 2, a, b),
+            Guards::default(),
+        );
+        assert!(cold.cyclic, "the kicked ring must diverge");
+        assert_eq!(stats.engine, CaseEngine::Cone);
+        assert!(stats.recomputed > 0 && stats.recomputed <= 2);
+        assert_same_verdict(&after, &cold, &warm);
+        // A certified no-change step reuses every row.
+        let (warm, stats, cold) = warm_step(&after, &after, |_, _| full(1), Guards::default());
+        assert_eq!((stats.engine, stats.recomputed), (CaseEngine::Cone, 0));
+        assert_same_verdict(&after, &cold, &warm);
+    }
+
+    #[test]
+    fn converging_residue_case_keeps_no_snapshot() {
+        // An undriven ring never levels but no finite arrival reaches
+        // it, so its residue converges: even a certified no-change step
+        // walks in full, because no snapshot was kept.
+        let nl = ring_and_chain(false, None);
         let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| full(1), Guards::default());
+        assert!(!cold.cyclic);
         assert_eq!(stats.engine, CaseEngine::Full);
         assert_eq!(stats.recomputed, nl.node_count());
-        assert_eq!(warm.cyclic, cold.cyclic);
-        assert_eq!(warm.unresolved, cold.unresolved);
+        assert_same_verdict(&nl, &cold, &warm);
+    }
+
+    #[test]
+    fn finiteness_flip_forces_the_full_walk() {
+        let nl = ring_and_chain(true, None);
+        let (g, src, eps) = graph_and_sources(&nl);
+        let slope = SlopeModel::calibrated();
+        let guards = Guards::default();
+        let prime = |cache: &mut IncrementalCache, sources: &[NodeId]| {
+            cache.begin_run(&slope);
+            cache.propagate_case(&nl, &g, sources, &eps, &slope, 1, guards, &full(1));
+        };
+        // A certificate whose splice flipped an arc's finiteness may
+        // move a diverged residue's verdict: full walk.
+        let mut cache = IncrementalCache::default();
+        prime(&mut cache, &src);
+        let flipped = CaseDelta {
+            graph_fp: 2,
+            since: Some((1, Vec::new())),
+            flips: true,
+        };
+        cache.begin_run(&slope);
+        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &flipped);
+        assert_eq!(cache.last_stats()[0].engine, CaseEngine::Full);
+        assert_eq!(cache.last_stats()[0].recomputed, nl.node_count());
+        let cold = crate::propagate::propagate(&nl, &g, &src, &eps, &slope);
+        assert_same_verdict(&nl, &cold, &warm);
+
+        // A cone node whose arrival turns finite does too: a snapshot
+        // taken without input `a` driving, stepped with it driving and
+        // named as changed.
+        let mut cache = IncrementalCache::default();
+        let a = nl.node_by_name("a").unwrap();
+        let without_a: Vec<NodeId> = src.iter().copied().filter(|&s| s != a).collect();
+        prime(&mut cache, &without_a);
+        let step = CaseDelta {
+            graph_fp: 2,
+            since: Some((1, vec![a.index() as u32])),
+            flips: false,
+        };
+        cache.begin_run(&slope);
+        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &step);
+        assert_eq!(cache.last_stats()[0].engine, CaseEngine::Full);
+        assert_same_verdict(&nl, &cold, &warm);
+    }
+
+    #[test]
+    fn leveled_case_ignores_the_flip_bit() {
+        // Without a residue there is no verdict to move: the cone runs.
+        let nl = chain(6, None);
+        let step = CaseDelta {
+            graph_fp: 2,
+            since: Some((1, Vec::new())),
+            flips: true,
+        };
+        let (warm, stats, cold) = warm_step(&nl, &nl, |_, _| step, Guards::default());
+        assert_eq!(stats.engine, CaseEngine::Cone);
+        assert_bit_identical(&nl, &cold, &warm);
+    }
+
+    #[test]
+    fn race_state_follows_certified_steps_in_place() {
+        // Two same-phase latches with logic between, so phase 0 has a
+        // race hazard. A certified cap edit re-derives the race state in
+        // place over the arrival cone; the hazards equal a cold check.
+        let build = |cap: bool| {
+            let mut b = NetlistBuilder::new(Tech::nmos4um());
+            let phi1 = b.clock("phi1", 0);
+            let d = b.input("d");
+            let m = b.node("m");
+            b.dynamic_latch("first", phi1, d, m);
+            let mut prev = m;
+            for i in 0..4 {
+                let nx = b.node(format!("g{i}"));
+                b.inverter(format!("i{i}"), prev, nx);
+                if cap && i == 2 {
+                    b.add_cap(nx, 0.3).unwrap();
+                }
+                prev = nx;
+            }
+            let q = b.node("q");
+            b.dynamic_latch("second", phi1, prev, q);
+            b.finish().unwrap()
+        };
+        let phase_graph = |nl: &tv_netlist::Netlist| {
+            let flow = analyze(nl, &RuleSet::all());
+            let q = qualify_with_flow(nl, &flow);
+            let latches = tv_clocks::latch::find_latches(nl, &flow, &q);
+            let g = TimingGraph::build(nl, &flow, &q, PhaseCase::phase(0), DelayModel::Elmore, 1.0);
+            let src = crate::analyzer::phase_sources(nl, &latches, 0);
+            let eps = crate::analyzer::phase_endpoints(nl, &latches, 0);
+            (g, latches, src, eps)
+        };
+        let (before, after) = (build(false), build(true));
+        let slope = SlopeModel::calibrated();
+        let guards = Guards::default();
+        let mut cache = IncrementalCache::default();
+        let (g0, latches, src, eps) = phase_graph(&before);
+        cache.begin_run(&slope);
+        cache.propagate_case(&before, &g0, &src, &eps, &slope, 1, guards, &full(1));
+        let cold0 = cache.race_case(&before, &g0, &latches, 0);
+        assert_eq!(cold0.len(), 1);
+        let buffer = |c: &IncrementalCache| {
+            c.cases[&Some(0)]
+                .race
+                .as_ref()
+                .unwrap()
+                .1
+                .min_arrival_buffer()
+                .as_ptr()
+        };
+        let kept = buffer(&cache);
+
+        let (g, latches, src, eps) = phase_graph(&after);
+        cache.begin_run(&slope);
+        cache.propagate_case(
+            &after,
+            &g,
+            &src,
+            &eps,
+            &slope,
+            1,
+            guards,
+            &certify(1, 2, &g0, &g),
+        );
+        assert_eq!(cache.last_stats()[0].engine, CaseEngine::Cone);
+        let warm = cache.race_case(&after, &g, &latches, 0);
+        assert_eq!(
+            buffer(&cache),
+            kept,
+            "the race state was rebuilt, not updated"
+        );
+        assert_eq!(warm, crate::hold::race_check(&after, &g, &latches, 0));
+        assert_ne!(warm, cold0, "the edit moved the racing minimum");
     }
 }

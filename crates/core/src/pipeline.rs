@@ -32,7 +32,11 @@
 //! caps/geometry their arcs read, indexed on the first such edit)
 //! it touches, and overwrites their arc **spans** in place. The splice
 //! certifies which nodes' in-arc delays changed, and the arrival cache
-//! re-propagates just their fanout cone. The one-shot
+//! re-propagates just their fanout cone — and re-derives each phase's
+//! race hazards over that same cone. The checks pass re-checks only the
+//! sites a parametric edit's dirty nodes can move, and the flow report,
+//! census and flow diagnostics are cached with the flow slot, so a warm
+//! `analyze` costs in proportion to the edit. The one-shot
 //! [`crate::Analyzer`] is this pipeline run once. Every reuse path is
 //! bit-identical to a cold run; `tests/integration_layout.rs` and
 //! `tests/integration_session.rs` enforce it.
@@ -42,14 +46,14 @@ use std::time::Instant;
 use tv_clocks::latch::{find_latches, Latch};
 use tv_clocks::qualify::{qualify_with_flow, Qualification};
 use tv_clocks::ClockConstraints;
-use tv_flow::FlowAnalysis;
-use tv_netlist::{Design, DesignStamp, DirtySince, Netlist, Revision};
+use tv_flow::{Census, FlowAnalysis, FlowReport};
+use tv_netlist::{Design, DesignStamp, Diagnostic, DirtySince, Netlist, Revision};
 
 use crate::analyzer::{
     endpoints_or_all, external_sources, phase_endpoints, phase_sources, PhaseAnalysis,
     TimingReport, SOURCE_RESISTANCE,
 };
-use crate::checks::{check_electrical, CheckIssue};
+use crate::checks::CheckList;
 use crate::error::TvError;
 use crate::fingerprint::{flow_fingerprint, hash_words, mix64};
 use crate::graph::{splice_roots, BuildScratch, GraphBuilder, PhaseCase, RootKind, TimingGraph};
@@ -166,11 +170,13 @@ pub enum PassOutcome {
     /// extent, so the cached graph was revalidated without touching an
     /// arc.
     Revalidated,
-    /// Arrival pass only: the demand-driven cone engine re-relaxed just
-    /// the affected fanout cone over a cached snapshot (bit-identical to
-    /// the full walk).
+    /// Arrival and checks passes: only the edit's neighbourhood was
+    /// re-derived over the cached result (bit-identical to a full run)
+    /// — the affected fanout cone for arrivals, the sites the dirty
+    /// nodes can move for checks.
     Cone {
-        /// Number of nodes the cone re-relaxed.
+        /// Number of nodes (arrivals) or check sites (checks)
+        /// re-derived.
         recomputed: usize,
     },
 }
@@ -196,6 +202,27 @@ struct Slot<T> {
     input_fp: u64,
     output_fp: u64,
     value: T,
+}
+
+/// The flow analysis with the report's projections of it, which read
+/// only the flow result and the netlist's topology.
+struct FlowValue {
+    analysis: FlowAnalysis,
+    report: FlowReport,
+    census: Census,
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// The cached electrical checks.
+struct ChecksSlot {
+    input_fp: u64,
+    /// Like `input_fp` but excluding the geometry and capacitance
+    /// counters: matching shape under a mismatching input means only
+    /// resistances and caps moved — the precondition for a site update.
+    shape_fp: u64,
+    /// Design revision the list reflects.
+    built_revision: Revision,
+    list: CheckList,
 }
 
 /// A cached timing graph for one case.
@@ -234,12 +261,12 @@ struct GraphSlot {
 /// [`crate::Analyzer::run`] on the same netlist.
 #[derive(Default)]
 pub struct PassManager {
-    flow: Option<Slot<FlowAnalysis>>,
+    flow: Option<Slot<FlowValue>>,
     qual: Option<Slot<Vec<Qualification>>>,
     latches: Option<Slot<Vec<Latch>>>,
     /// Graph slots: `[comb, phase 0, phase 1]`.
     graphs: [Option<GraphSlot>; 3],
-    checks: Option<Slot<Vec<CheckIssue>>>,
+    checks: Option<ChecksSlot>,
     /// Arrival snapshots, reused under the graph passes' certificates.
     cache: IncrementalCache,
     trace: Vec<PassEvent>,
@@ -370,12 +397,18 @@ impl PassManager {
             Some(s) if s.input_fp == flow_in => false,
             _ => {
                 let _s = tv_obs::span("pass.flow");
-                let value = tv_flow::analyze(nl, &options.rules);
-                let output_fp = flow_fingerprint(nl, &value);
+                let analysis = tv_flow::analyze(nl, &options.rules);
+                let output_fp = flow_fingerprint(nl, &analysis);
+                let _v = tv_obs::span("pass.views");
                 self.flow = Some(Slot {
                     input_fp: flow_in,
                     output_fp,
-                    value,
+                    value: FlowValue {
+                        report: analysis.report(nl),
+                        census: analysis.census(),
+                        diagnostics: analysis.diagnostics(nl),
+                        analysis,
+                    },
                 });
                 true
             }
@@ -386,7 +419,7 @@ impl PassManager {
             .as_ref()
             .ok_or(internal("flow pass left no result"))?;
         let flow_fp = flow_slot.output_fp;
-        let flow = &flow_slot.value;
+        let flow = &flow_slot.value.analysis;
 
         // --- qualify ---
         let qual_in = hash_words(&[stamp.design, stamp.topo, flow_fp]);
@@ -436,12 +469,10 @@ impl PassManager {
             .value
             .as_slice();
 
-        // Derived views are recomputed every run — they are cheap
-        // projections of the cached analyses, and keeping them out of
-        // the slots keeps the invalidation story small.
-        let flow_report = flow.report(nl);
-        let census = flow.census();
-        let mut diagnostics = flow.diagnostics(nl);
+        let mut diagnostics = {
+            let _s = tv_obs::span("pass.views");
+            flow_slot.value.diagnostics.clone()
+        };
 
         // --- combinational case ---
         let comb_delta = graph_pass(
@@ -494,7 +525,10 @@ impl PassManager {
             outcome: arrivals_outcome(&self.cache),
         });
         diagnostics.extend(combinational.diagnostics.iter().cloned());
-        let combinational_paths = critical_paths(&comb_slot.graph, &combinational, options.top_k);
+        let combinational_paths = {
+            let _s = tv_obs::span("pass.paths");
+            critical_paths(&comb_slot.graph, &combinational, options.top_k)
+        };
 
         // --- per-phase cases ---
         let mut phases = Vec::new();
@@ -538,11 +572,17 @@ impl PassManager {
                     outcome: arrivals_outcome(&self.cache),
                 });
                 diagnostics.extend(result.diagnostics.iter().cloned());
-                let paths = critical_paths(&slot.graph, &result, options.top_k);
+                let paths = {
+                    let _s = tv_obs::span("pass.paths");
+                    critical_paths(&slot.graph, &result, options.top_k)
+                };
                 let slack = result
                     .critical_arrival()
                     .map(|a| options.clock.width(p) - a);
-                let races = crate::hold::race_check(nl, &slot.graph, latches, p);
+                let races = {
+                    let _s = tv_obs::span("pass.race");
+                    self.cache.race_case(nl, &slot.graph, latches, p)
+                };
                 phases.push(PhaseAnalysis {
                     phase: p,
                     arcs: slot.graph.arc_count(),
@@ -572,28 +612,28 @@ impl PassManager {
             flow_fp,
             qual_fp,
         ]);
-        let checks_reran = match &self.checks {
-            Some(s) if s.input_fp == checks_in => false,
-            _ => {
-                let _s = tv_obs::span("pass.checks");
-                let value = check_electrical(nl, flow, qual);
-                tv_obs::add(tv_obs::Counter::CheckIssues, value.len() as u64);
-                self.checks = Some(Slot {
-                    input_fp: checks_in,
-                    output_fp: 0,
-                    value,
-                });
-                true
-            }
-        };
-        push(&mut self.trace, PassId::Checks, checks_reran);
-        let checks = self
+        let checks_shape = hash_words(&[stamp.design, stamp.topo, stamp.tech, flow_fp, qual_fp]);
+        let checks_outcome = checks_pass(
+            &mut self.checks,
+            nl,
+            flow,
+            qual,
+            design,
+            checks_in,
+            checks_shape,
+        );
+        self.trace.push(PassEvent {
+            pass: PassId::Checks,
+            outcome: checks_outcome,
+        });
+        let list = &self
             .checks
             .as_ref()
             .ok_or(internal("checks pass left no result"))?
-            .value
-            .clone();
-        diagnostics.extend(checks.iter().map(|c| c.diagnostic(nl)));
+            .list;
+        let _views = tv_obs::span("pass.views");
+        diagnostics.extend(list.diagnostics.iter().cloned());
+        let checks = list.issues.clone();
 
         // Pass outcomes into the observability counters (the trace is
         // the single source; `add` is a no-op when the plane is off).
@@ -623,9 +663,10 @@ impl PassManager {
         tv_obs::add(tv_obs::Counter::PassRevalidated, revalidated);
         tv_obs::add(tv_obs::Counter::GraphRootsSpliced, roots);
 
+        let flow_value = &flow_slot.value;
         Ok(TimingReport {
-            flow_report,
-            census,
+            flow_report: flow_value.report.clone(),
+            census: flow_value.census.clone(),
             combinational,
             combinational_paths,
             phases,
@@ -693,6 +734,7 @@ fn graph_pass(
             return CaseDelta {
                 graph_fp: input_fp,
                 since: Some((input_fp, Vec::new())),
+                flips: false,
             };
         }
     }
@@ -763,6 +805,7 @@ fn graph_pass(
         affected.dedup();
         let prev_fp = *slot_in;
         let mut changed: Vec<u32> = Vec::new();
+        let mut flips = false;
         let outcome = if affected.is_empty() {
             // The edit landed entirely outside this graph's read set
             // (e.g. a cap tweak on a node no stage's tree reaches):
@@ -772,7 +815,7 @@ fn graph_pass(
                 outcome: PassOutcome::Revalidated,
             });
             PassOutcome::Revalidated
-        } else if splice_roots(
+        } else if let Ok(flipped) = splice_roots(
             graph,
             &builder,
             SOURCE_RESISTANCE,
@@ -781,9 +824,8 @@ fn graph_pass(
             &affected,
             &mut scratch,
             &mut changed,
-        )
-        .is_ok()
-        {
+        ) {
+            flips = flipped;
             // De-share: every affected root that was instanced from a
             // shared macromodel is split into a singleton class before
             // its re-analysis, so the splice never rewrites siblings.
@@ -813,6 +855,7 @@ fn graph_pass(
         return CaseDelta {
             graph_fp: input_fp,
             since: Some((prev_fp, changed)),
+            flips,
         };
     }
 
@@ -839,7 +882,45 @@ fn graph_pass(
     CaseDelta {
         graph_fp: input_fp,
         since: None,
+        flips: false,
     }
+}
+
+/// The checks pass: reuse on a clean input fingerprint, a site update
+/// when only parametric edits happened since the list was built
+/// (matching shape, node-granular dirty set), a full run otherwise.
+fn checks_pass(
+    slot: &mut Option<ChecksSlot>,
+    nl: &Netlist,
+    flow: &FlowAnalysis,
+    qual: &[Qualification],
+    design: Option<&Design>,
+    input_fp: u64,
+    shape_fp: u64,
+) -> PassOutcome {
+    if slot.as_ref().is_some_and(|s| s.input_fp == input_fp) {
+        return PassOutcome::Reused;
+    }
+    let _s = tv_obs::span("pass.checks");
+    if let (Some(s), Some(d)) = (slot.as_mut(), design) {
+        let since = (s.shape_fp == shape_fp).then(|| d.dirty_since(s.built_revision));
+        if let Some(DirtySince::Nodes(dirty)) = since {
+            let recomputed = s.list.update(nl, flow, &dirty);
+            tv_obs::add(tv_obs::Counter::CheckIssues, s.list.issues.len() as u64);
+            s.input_fp = input_fp;
+            s.built_revision = d.revision();
+            return PassOutcome::Cone { recomputed };
+        }
+    }
+    let list = CheckList::cold(nl, flow, qual);
+    tv_obs::add(tv_obs::Counter::CheckIssues, list.issues.len() as u64);
+    *slot = Some(ChecksSlot {
+        input_fp,
+        shape_fp,
+        built_revision: design.map_or(Revision(0), |d| d.revision()),
+        list,
+    });
+    PassOutcome::Computed
 }
 
 fn case_slot(case: Option<u8>) -> usize {
@@ -1105,7 +1186,7 @@ mod tests {
                     &mut pm.graphs[k],
                     &mut Vec::new(),
                     design.netlist(),
-                    &flow.value,
+                    &flow.value.analysis,
                     &qual.value,
                     case,
                     design.stamp(),
@@ -1164,7 +1245,7 @@ mod tests {
             let slot = pm.graphs[k].as_ref().unwrap();
             let builder = GraphBuilder {
                 netlist: nl,
-                flow: &pm.flow.as_ref().unwrap().value,
+                flow: &pm.flow.as_ref().unwrap().value.analysis,
                 qualification: &pm.qual.as_ref().unwrap().value,
                 case,
                 model: opts.model,
@@ -1198,6 +1279,57 @@ mod tests {
                 crate::fingerprint::report_fingerprint(nl, &warm),
                 crate::fingerprint::report_fingerprint(nl, &cold)
             );
+        }
+    }
+
+    #[test]
+    fn warm_race_hazards_equal_a_fresh_race_check() {
+        // Seeded parametric edits through a held pipeline: each phase's
+        // race hazards, re-derived over the arrival cone, equal a
+        // `race_check` on a freshly built graph of the edited netlist.
+        let mut design = small_datapath();
+        let mut pm = PassManager::new();
+        let opts = AnalysisOptions::default();
+        pm.analyze(&design, &opts);
+        let devs: Vec<_> = design.netlist().devices().map(|d| d.id).collect();
+        let nodes: Vec<_> = design
+            .netlist()
+            .node_ids()
+            .filter(|&i| !design.netlist().node(i).role().is_rail())
+            .collect();
+        let mut rng = tv_gen::rng::Rng64::new(0x4ACE_5EED);
+        for step in 0..100 {
+            if rng.bool(0.5) {
+                let dev = devs[rng.usize_range(0, devs.len())];
+                design
+                    .resize_device(dev, rng.f64_range(3.0, 12.0), 2.0)
+                    .unwrap();
+            } else {
+                let node = nodes[rng.usize_range(0, nodes.len())];
+                design.set_node_cap(node, rng.f64_range(0.01, 0.1)).unwrap();
+            }
+            let report = pm.analyze(&design, &opts);
+            let nl = design.netlist();
+            let flow = tv_flow::analyze(nl, &opts.rules);
+            let qual = qualify_with_flow(nl, &flow);
+            let latches = find_latches(nl, &flow, &qual);
+            for p in 0..2u8 {
+                assert!(matches!(
+                    trace_outcome(&pm, PassId::Arrivals(Some(p))),
+                    Some(PassOutcome::Cone { .. } | PassOutcome::Reused)
+                ));
+                let graph = TimingGraph::build(
+                    nl,
+                    &flow,
+                    &qual,
+                    PhaseCase::phase(p),
+                    opts.model,
+                    SOURCE_RESISTANCE,
+                );
+                let fresh = crate::hold::race_check(nl, &graph, &latches, p);
+                let warm = &report.phase(p).unwrap().races;
+                assert_eq!(warm, &fresh, "step {step} phase {p}");
+            }
         }
     }
 

@@ -20,12 +20,14 @@
 //!    reports genuine cycles via [`PhaseResult::cyclic`] exactly as the
 //!    fully serial engine did.
 //!
-//! Warm re-analyses of residue-free graphs additionally have the
-//! **demand-driven cone engine** ([`propagate_cone`]): given a cached
-//! snapshot and the forward-closed affected set of a certified edit, it
-//! re-relaxes only the affected nodes in level order and copies the
-//! rest from the snapshot — bit-identical to the full walk, at a cost
-//! proportional to the edit's fanout cone instead of the chip.
+//! Warm re-analyses additionally have the **demand-driven cone engine**
+//! ([`propagate_cone`]): given a cached snapshot and the forward-closed
+//! affected set of a certified edit, it re-relaxes only the affected
+//! nodes in level order and copies the rest from the snapshot —
+//! bit-identical to the full walk, at a cost proportional to the edit's
+//! fanout cone instead of the chip. A residue whose divergence screen
+//! fired sits at its seed values, which no edit of the leveled part can
+//! move while the verdict holds, so such a case gets the cone too.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -509,36 +511,36 @@ pub fn propagate_with(
         &mut Workspace::new(),
         None,
     )
+    .0
 }
 
 /// Demand-driven cone engine: materializes a cached snapshot and
-/// re-relaxes only the nodes marked `affected`, in level order.
+/// re-relaxes only the `cone` nodes, given in level order.
 ///
 /// Preconditions (the caller — [`crate::incremental::IncrementalCache`]
-/// — enforces all three): the graph's schedule has no residue, the
-/// `affected` set is forward-closed over out-arcs, and no wall-clock
-/// deadline is armed. Under them the result is **bit-identical** to the
-/// full walk: a node's predecessors sit at strictly lower levels, so by
-/// induction every value an affected node reads is final — freshly
-/// recomputed if the predecessor is itself affected, the snapshot value
-/// otherwise — and the per-node evaluation reproduces
-/// [`compute_node`]'s arithmetic arc for arc.
+/// — enforces all three): the cone holds leveled nodes only and is
+/// forward-closed over out-arcs among them, every residue row of the
+/// snapshot is final (the graph has no residue, or its residue diverged
+/// and sits at seed values), and no wall-clock deadline is armed. Under
+/// them the result is **bit-identical** to the full walk: a leveled
+/// node's predecessors sit at strictly lower levels, so by induction
+/// every value a cone node reads is final — freshly recomputed if the
+/// predecessor is itself in the cone, the snapshot value otherwise —
+/// and the per-node evaluation reproduces [`compute_node`]'s arithmetic
+/// arc for arc. The returned flag says whether some cone node's rise or
+/// fall arrival changed finiteness, the one change that can move a
+/// residue's divergence verdict.
 pub(crate) fn propagate_cone(
     graph: &TimingGraph,
     sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
-    affected: &[bool],
+    cone: &[u32],
     cached: &Arrivals,
     ws: &mut Workspace,
-) -> PhaseResult {
+) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
     let n = graph.node_count();
-    let sched = &graph.schedule;
-    debug_assert!(
-        sched.residue.is_empty(),
-        "cone propagation requires a fully leveled graph"
-    );
     debug_assert_eq!(cached.rise.len(), n);
 
     let is_source = &mut ws.is_source;
@@ -553,14 +555,10 @@ pub(crate) fn propagate_cone(
     // affected rows are overwritten below.
     let mut arr = cached.clone();
 
-    let mut cone_nodes = 0u64;
     let mut cone_relax = 0u64;
-    for &nd in &sched.order {
+    let mut flipped = false;
+    for &nd in cone {
         let ni = nd as usize;
-        if !affected[ni] {
-            continue;
-        }
-        cone_nodes += 1;
         let mut s = Slot::init(is_source[ni]);
         for &ai in graph.in_arcs_of_index(ni) {
             let arc = &graph.arcs[ai as usize];
@@ -592,6 +590,8 @@ pub(crate) fn propagate_cone(
             }
             cone_relax += 1;
         }
+        flipped |= s.rise.is_finite() != arr.rise[ni].is_finite()
+            || s.fall.is_finite() != arr.fall[ni].is_finite();
         arr.rise[ni] = s.rise;
         arr.fall[ni] = s.fall;
         arr.trans_rise[ni] = s.trans_rise;
@@ -602,6 +602,7 @@ pub(crate) fn propagate_cone(
 
     // The work counters record the cone's *actual* work — that shrinkage
     // is the warm path's whole point.
+    let cone_nodes = cone.len() as u64;
     tv_obs::add(tv_obs::Counter::PropagateRelaxations, cone_relax);
     tv_obs::add(tv_obs::Counter::PropagateNodes, cone_nodes);
     tv_obs::incr(tv_obs::Counter::PropagateCases);
@@ -613,7 +614,7 @@ pub(crate) fn propagate_cone(
         .collect();
     eps.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-    PhaseResult {
+    let result = PhaseResult {
         case: graph.case,
         arrivals: arr,
         endpoints: eps,
@@ -621,13 +622,16 @@ pub(crate) fn propagate_cone(
         // Charge-equivalent, not actual: `PhaseResult::relaxations`
         // feeds the frozen report fingerprint, and the full engine
         // charges one relaxation per in-arc whether a node recomputes
-        // or is served from the snapshot — one per arc in total. The
-        // obs counters above record what the cone really did.
+        // or is served from the snapshot — one per arc in total on a
+        // leveled graph (the caller restores a diverged residue case's
+        // own figure). The obs counters above record what the cone
+        // really did.
         relaxations: graph.arcs.len(),
         completion: Completion::Complete,
         unresolved: Vec::new(),
         diagnostics: Vec::new(),
-    }
+    };
+    (result, flipped)
 }
 
 /// The full engine — levelized walk, then residue worklist — under
@@ -637,6 +641,10 @@ pub(crate) fn propagate_cone(
 /// [`PhaseResult::unresolved`] describing what is missing. `fault` is
 /// called with each node index before evaluation; tests use a panicking
 /// hook to exercise worker isolation, production callers pass `None`.
+///
+/// The returned flag says the residue screen diverged on a walk with
+/// no panicked node: the residue rows then sit at their seed values, a
+/// state the cone engine can serve later certified steps from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate_full(
     netlist: &Netlist,
@@ -648,7 +656,7 @@ pub(crate) fn propagate_full(
     guards: Guards,
     ws: &mut Workspace,
     fault: Option<&(dyn Fn(u32) + Sync)>,
-) -> PhaseResult {
+) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
     let n = netlist.node_count();
     let sched = &graph.schedule;
@@ -804,6 +812,7 @@ pub(crate) fn propagate_full(
     // Residue: the budgeted serial worklist, seeded with residue sources
     // and every node feeding a residue node (their slots are final).
     let mut cyclic = false;
+    let mut diverged = false;
     let mut residue_deadline_hit = false;
     if !sched.residue.is_empty() && deadline_hit_at.is_none() {
         in_residue.clear();
@@ -819,6 +828,7 @@ pub(crate) fn propagate_full(
             // unbounded arrivals; residue nodes keep their seed values
             // (sources at 0, everything else "no arrival").
             cyclic = true;
+            diverged = true;
         } else {
             queue.clear();
             queued.clear();
@@ -986,7 +996,7 @@ pub(crate) fn propagate_full(
     unresolved.sort_unstable();
     unresolved.dedup();
 
-    PhaseResult {
+    let result = PhaseResult {
         case: graph.case,
         arrivals: arr,
         endpoints: eps,
@@ -995,7 +1005,8 @@ pub(crate) fn propagate_full(
         completion,
         unresolved,
         diagnostics,
-    }
+    };
+    (result, diverged && panicked.is_empty())
 }
 
 #[cfg(test)]
@@ -1189,7 +1200,8 @@ mod tests {
             guards,
             &mut Workspace::new(),
             None,
-        );
+        )
+        .0;
         assert_eq!(r.completion, Completion::BudgetExhausted);
         assert!(r.cyclic);
         assert!(!r.unresolved.is_empty(), "residue nodes must be listed");
@@ -1238,7 +1250,8 @@ mod tests {
             Guards::default(),
             &mut Workspace::new(),
             Some(&hook),
-        );
+        )
+        .0;
         // The poisoned node and its downstream have no arrival, the
         // independent path is untouched, and the event is on record.
         assert_eq!(r.arrival(x), None);
@@ -1282,6 +1295,7 @@ mod tests {
                 &mut Workspace::new(),
                 Some(&hook),
             )
+            .0
         };
         let serial = run_at(1);
         let parallel = run_at(4);

@@ -511,6 +511,7 @@ impl NetlistBuilder {
             inputs: Vec::new(),
             outputs: Vec::new(),
             clocks: Vec::new(),
+            device_names: Default::default(),
         };
         nl.rebuild_indexes();
         Ok(nl)

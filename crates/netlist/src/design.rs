@@ -302,12 +302,15 @@ impl Design {
             });
         }
         let dirty = self.device_neighborhood(dev);
-        {
-            let d = &mut self.netlist.devices[dev.index()];
-            d.w_um = w_um;
-            d.l_um = l_um;
-        }
-        self.netlist.recompute_caps();
+        let d = &mut self.netlist.devices[dev.index()];
+        d.w_um = w_um;
+        d.l_um = l_um;
+        // Geometry moves the gate and diffusion caps of the device's
+        // own terminals only (rails included).
+        let mut touched = vec![d.gate(), d.source(), d.drain()];
+        touched.sort_unstable();
+        touched.dedup();
+        self.netlist.recompute_node_caps(&touched);
         self.geom_rev += 1;
         self.cap_rev += 1;
         Ok(self.record(EditClass::Parametric, dirty))
@@ -335,7 +338,7 @@ impl Design {
             });
         }
         self.netlist.nodes[node.index()].extra_cap = cap_pf;
-        self.netlist.recompute_caps();
+        self.netlist.recompute_node_caps(&[node]);
         self.cap_rev += 1;
         let dirty = if self.netlist.node(node).role().is_rail() {
             Vec::new()
@@ -414,6 +417,9 @@ impl Design {
             );
         }
         let id = DeviceId(self.netlist.devices.len() as u32);
+        if let Some(index) = self.netlist.device_names.get_mut() {
+            index.insert(name, id);
+        }
         self.netlist.devices.push(Device {
             name: name.to_owned(),
             kind,
@@ -441,6 +447,9 @@ impl Design {
     /// Panics if `dev` is not from this design's netlist.
     pub fn remove_device(&mut self, dev: DeviceId) -> EditReceipt {
         self.netlist.devices.remove(dev.index());
+        // Ids above `dev` shifted down: a built name index is stale, so
+        // it is rebuilt on the next lookup.
+        self.netlist.device_names.take();
         self.netlist.rebuild_indexes();
         self.topo_rev += 1;
         self.geom_rev += 1;
@@ -616,6 +625,96 @@ mod tests {
         let (d2, ..) = design();
         assert_ne!(d1.stamp().design, d2.stamp().design);
         assert_ne!(DesignStamp::unique(), DesignStamp::unique());
+    }
+
+    /// A small latch-and-gate netlist where rails, shared gates and
+    /// self-loaded outputs all carry several devices.
+    fn busy_design() -> Design {
+        let mut b = NetlistBuilder::new(Tech::nmos4um());
+        let phi = b.clock("phi1", 0);
+        let mut prev = b.input("a");
+        for i in 0..12 {
+            let out = b.node(format!("n{i}"));
+            if i % 3 == 2 {
+                b.dynamic_latch(format!("l{i}"), phi, prev, out);
+            } else {
+                b.nand(format!("g{i}"), &[prev, phi], out);
+            }
+            prev = out;
+        }
+        Design::new(b.finish().unwrap())
+    }
+
+    #[test]
+    fn local_cap_updates_match_a_full_recompute() {
+        // 200 seeded resizes and wiring-cap edits: after each, the caps
+        // the edit patched locally equal a whole-netlist recompute bit
+        // for bit, rails included.
+        let mut d = busy_design();
+        let devs = d.netlist().device_count();
+        let nodes = d.netlist().node_count();
+        let mut state = 0x5EED_CA95_u64;
+        let mut next = || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for step in 0..200 {
+            let r = next();
+            if r % 2 == 0 {
+                let dev = DeviceId((next() % devs as u64) as u32);
+                let w = 2.0 + (next() % 97) as f64 * 0.13;
+                let l = 2.0 + (next() % 11) as f64 * 0.7;
+                d.resize_device(dev, w, l).unwrap();
+            } else {
+                let node = NodeId((next() % nodes as u64) as u32);
+                d.set_node_cap(node, (next() % 1000) as f64 * 1e-4).unwrap();
+            }
+            let mut full = d.netlist().clone();
+            full.recompute_caps();
+            for n in d.netlist().node_ids() {
+                assert_eq!(
+                    d.netlist().node_cap(n).to_bits(),
+                    full.node_cap(n).to_bits(),
+                    "step {step}: node {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn device_name_index_follows_structural_edits() {
+        let mut d = busy_design();
+        let nl = d.netlist();
+        for dref in nl.devices() {
+            let first = nl.devices().find(|x| x.device.name() == dref.device.name());
+            assert_eq!(nl.device_by_name(dref.device.name()), first.map(|x| x.id));
+        }
+        assert_eq!(nl.device_by_name("nonesuch"), None);
+        let (a, out) = (NodeId(2), NodeId(3));
+        let (added, _) = d
+            .add_device("late", DeviceKind::Enhancement, a, NodeId(1), out, 4.0, 2.0)
+            .unwrap();
+        assert_eq!(d.netlist().device_by_name("late"), Some(added));
+        // A repeated name keeps resolving to the lowest id.
+        let (dup, _) = d
+            .add_device("late", DeviceKind::Enhancement, a, NodeId(1), out, 4.0, 2.0)
+            .unwrap();
+        assert_eq!(d.netlist().device_by_name("late"), Some(added));
+        // Removing a device shifts the ids above it down by one.
+        d.remove_device(DeviceId(0));
+        assert_eq!(
+            d.netlist().device_by_name("late"),
+            Some(DeviceId(added.0 - 1))
+        );
+        d.remove_device(DeviceId(added.0 - 1));
+        assert_eq!(
+            d.netlist().device_by_name("late"),
+            Some(DeviceId(dup.0 - 2))
+        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The immutable, fully-indexed netlist produced by [`crate::NetlistBuilder`].
 
+use std::sync::OnceLock;
+
 use crate::cap::CapModel;
 use crate::intern::Interner;
 use crate::{Device, DeviceId, Node, NodeId, NodeRole, Tech};
@@ -76,6 +78,38 @@ pub struct Netlist {
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
     pub(crate) clocks: Vec<(NodeId, u8)>,
+    /// Device-name index, built on the first [`Netlist::device_by_name`]
+    /// call and kept current by the [`crate::Design`] structural edits.
+    pub(crate) device_names: OnceLock<DeviceNames>,
+}
+
+/// Interned device names: symbol `s` names device `first[s]`, the
+/// lowest id carrying that name (a name may repeat).
+#[derive(Debug, Clone)]
+pub(crate) struct DeviceNames {
+    names: Interner,
+    first: Vec<DeviceId>,
+}
+
+impl DeviceNames {
+    fn build(devices: &[Device]) -> Self {
+        let mut index = DeviceNames {
+            names: Interner::with_capacity(devices.len()),
+            first: Vec::with_capacity(devices.len()),
+        };
+        for (i, d) in devices.iter().enumerate() {
+            index.insert(d.name(), DeviceId(i as u32));
+        }
+        index
+    }
+
+    /// Records `id` under `name` unless a lower id already holds it
+    /// (ids are inserted in ascending order).
+    pub(crate) fn insert(&mut self, name: &str, id: DeviceId) {
+        if self.names.intern(name).index() == self.first.len() {
+            self.first.push(id);
+        }
+    }
 }
 
 impl Netlist {
@@ -208,14 +242,14 @@ impl Netlist {
         &self.clocks
     }
 
-    /// Looks a device up by name. Linear scan — device names are not
-    /// indexed (they are only needed for reports and interactive edits),
-    /// so callers on a hot path should hold on to the [`DeviceId`].
+    /// Looks a device up by name; with repeated names, the lowest id.
+    /// The interned name index is built on the first call (one pass over
+    /// the devices), so later lookups cost one hash probe.
     pub fn device_by_name(&self, name: &str) -> Option<DeviceId> {
-        self.devices
-            .iter()
-            .position(|d| d.name() == name)
-            .map(|i| DeviceId(i as u32))
+        let index = self
+            .device_names
+            .get_or_init(|| DeviceNames::build(&self.devices));
+        index.names.get(name).map(|s| index.first[s.index()])
     }
 
     /// Recomputes the per-node total capacitance table. Called by the
@@ -224,6 +258,46 @@ impl Netlist {
     pub(crate) fn recompute_caps(&mut self) {
         let model = CapModel::new(&self.tech);
         self.total_cap = model.node_caps(&self.nodes, &self.devices);
+    }
+
+    /// Recomputes the total capacitance of just `nodes` (rails included)
+    /// after a parametric edit, bit-identical to [`Netlist::recompute_caps`]:
+    /// each sum starts from the wiring cap and adds the gate, source and
+    /// drain contributions device by device in ascending id order, as
+    /// [`CapModel::node_caps`] does.
+    pub(crate) fn recompute_node_caps(&mut self, nodes: &[NodeId]) {
+        let model = CapModel::new(&self.tech);
+        for &n in nodes {
+            let at = self.node_devices(n);
+            let (mut g, mut c) = (at.gated.iter().peekable(), at.channel.iter().peekable());
+            let mut cap = self.nodes[n.index()].extra_cap();
+            // Merge the two id-sorted incidence lists; a device touching
+            // `n` by gate and channel (or by both channel ends) is met
+            // once per list entry, so skip repeats of the last id.
+            let mut last: Option<DeviceId> = None;
+            while let Some(&id) = match (g.peek(), c.peek()) {
+                (Some(&&a), Some(&&b)) if a <= b => g.next(),
+                (Some(_), Some(_)) | (None, Some(_)) => c.next(),
+                (Some(_), None) => g.next(),
+                (None, None) => None,
+            } {
+                if last == Some(id) {
+                    continue;
+                }
+                last = Some(id);
+                let d = &self.devices[id.index()];
+                if d.gate() == n {
+                    cap += model.gate_contribution(d.width(), d.length());
+                }
+                if d.source() == n {
+                    cap += model.diffusion_contribution(d.width());
+                }
+                if d.drain() == n {
+                    cap += model.diffusion_contribution(d.width());
+                }
+            }
+            self.total_cap[n.index()] = cap;
+        }
     }
 
     /// Rebuilds every derived index — the gate/channel CSR adjacency, the

@@ -474,7 +474,10 @@ impl Session {
         {
             self.retry_hint = Some("deadline");
         }
-        let fp = report_fingerprint(design.netlist(), &report);
+        let fp = {
+            let _s = tv_obs::span("session.fingerprint");
+            report_fingerprint(design.netlist(), &report)
+        };
         let mut passes = String::new();
         for (i, ev) in self.passes.last_trace().iter().enumerate() {
             if i > 0 {

@@ -271,6 +271,75 @@ fn random_edits_cone_bit_identical_to_full_walk_across_jobs() {
     );
 }
 
+/// Seeded resize/setcap edits through a held pipeline at `jobs`: after
+/// every edit the report equals a cold one-shot run — fingerprint,
+/// electrical checks with their diagnostics, and race hazards — and,
+/// every step being a certified splice, the combinational arrivals and
+/// the checks are re-derived over the edit's neighbourhood (`cone`) or
+/// reused, never recomputed.
+fn seeded_edits_match_cold(mut design: Design, jobs: usize, edits: usize, seed: u64) {
+    let opts = AnalysisOptions {
+        jobs,
+        ..AnalysisOptions::default()
+    };
+    let mut pm = PassManager::new();
+    pm.analyze(&design, &opts);
+    let devs = device_ids(&design);
+    let nodes = editable_nodes(&design);
+    let mut rng = Rng64::new(seed);
+    for step in 0..edits {
+        if rng.bool(0.5) {
+            let dev = devs[rng.usize_range(0, devs.len())];
+            let w = rng.f64_range(3.0, 12.0);
+            design.resize_device(dev, w, 2.0).expect("resize");
+        } else {
+            let node = nodes[rng.usize_range(0, nodes.len())];
+            let pf = rng.f64_range(0.01, 0.1);
+            design.set_node_cap(node, pf).expect("setcap");
+        }
+        let warm = pm.analyze(&design, &opts);
+        let nl = design.netlist();
+        let cold = Analyzer::new(nl).run(&opts);
+        assert_eq!(
+            report_fingerprint(nl, &warm),
+            report_fingerprint(nl, &cold),
+            "jobs {jobs} edit #{step}: report diverged from a cold run"
+        );
+        assert_eq!(warm.checks, cold.checks, "edit #{step}: checks");
+        let messages = |r: &nmos_tv::core::TimingReport| {
+            r.diagnostics
+                .iter()
+                .map(|d| (d.code, d.message.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(messages(&warm), messages(&cold), "edit #{step}");
+        for (w, c) in warm.phases.iter().zip(&cold.phases) {
+            assert_eq!(w.races, c.races, "edit #{step}: phase {} races", w.phase);
+        }
+        for pass in [PassId::Arrivals(None), PassId::Checks] {
+            let outcome = trace_outcome(&pm, pass);
+            assert!(
+                matches!(
+                    outcome,
+                    Some(PassOutcome::Cone { .. } | PassOutcome::Reused)
+                ),
+                "jobs {jobs} edit #{step}: {} was {outcome:?}",
+                pass.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn seeded_edits_keep_every_warm_layer_equal_to_cold() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    for jobs in [1, 2] {
+        seeded_edits_match_cold(small_design(), jobs, 60, 0x5EED_0001);
+        let mips32 = Design::new(datapath(Tech::nmos4um(), DatapathConfig::mips32()).netlist);
+        seeded_edits_match_cold(mips32, jobs, 15, 0x5EED_0002);
+    }
+}
+
 #[test]
 fn cone_smoke_replays_to_golden_and_saves_ninety_percent() {
     // The committed MIPS-class transcript is the acceptance evidence: a
