@@ -1,7 +1,8 @@
-//! Parallel scaling of the levelized timing engine: graph build +
-//! propagation for all three analysis cases on the MIPS-class datapath,
-//! at 1/2/4/8 workers. Every run is asserted bit-identical to the
-//! serial walk. The table this prints is recorded in `EXPERIMENTS.md`.
+//! Parallel scaling of the levelized timing engine on the MIPS-class
+//! datapath: the serial graph build plus propagation at 1/2/4/8
+//! workers, for all three analysis cases. Every run is asserted
+//! bit-identical to the serial walk. The table this prints is recorded
+//! in `EXPERIMENTS.md`.
 
 use tv_bench::experiments::{parallel_scaling, ParallelScalingRow};
 use tv_gen::datapath::DatapathConfig;

@@ -379,7 +379,7 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
         let flow = tv_flow::analyze(nl, &opts.rules);
         let qual = qualify_with_flow(nl, &flow);
         let _latches = find_latches(nl, &flow, &qual);
-        TimingGraph::build_par(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE, 1)
+        TimingGraph::build(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE)
             .schedule
             .levels()
     };
@@ -388,7 +388,7 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
 
     let flow = tv_flow::analyze(nl, &opts.rules);
     let qual = qualify_with_flow(nl, &flow);
-    let graph = TimingGraph::build_par(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE, 1);
+    let graph = TimingGraph::build(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE);
     let sources = external_sources(nl);
     let endpoints = nl.outputs().to_vec();
     let mut prop_work =

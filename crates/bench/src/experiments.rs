@@ -663,22 +663,21 @@ pub fn t6_process_scaling(widths_datapath: DatapathConfig) -> Vec<T6Row> {
 /// both clock phases) timed at one worker count.
 #[derive(Debug, Clone)]
 pub struct ParallelScalingRow {
-    /// Worker threads used for graph build and propagation.
+    /// Worker threads used for propagation (the graph build is serial).
     pub jobs: usize,
     /// Graph-construction time summed over the three cases, ms.
     pub build_ms: f64,
     /// Propagation time summed over the three cases, ms.
     pub propagate_ms: f64,
     /// Work-span speedup of the whole engine at this worker count,
-    /// projected from the measured serial build/propagate split and the
-    /// structural parallelism of each stage. Graph construction chunks
-    /// thousands of independent stage roots evenly, so its span is
-    /// `work / jobs`; propagation's span charges each level of width
-    /// `w ≥ PAR_MIN_WIDTH` only `ceil(w / jobs)` node evaluations while
-    /// narrow levels and the cyclic residue stay serial — exactly the
-    /// engine's dispatch policy. This is the speedup the engine
-    /// *exposes*, reachable wall-clock on a host with that many free
-    /// cores (the wall column can't show it on a single-core machine).
+    /// projected from the measured serial build/propagate split. The
+    /// graph build is serial, so its span is its work; propagation's
+    /// span charges each level of width `w ≥ PAR_MIN_WIDTH` only
+    /// `ceil(w / jobs)` node evaluations while narrow levels and the
+    /// cyclic residue stay serial — exactly the engine's dispatch
+    /// policy. This is the speedup the engine *exposes*, reachable
+    /// wall-clock on a host with that many free cores (the wall column
+    /// can't show it on a single-core machine).
     pub modeled_speedup: f64,
 }
 
@@ -739,15 +738,7 @@ pub fn parallel_scaling(
         let (mut build_ms, mut prop_ms) = (0.0, 0.0);
         for (case, sources, endpoints) in &cases {
             let t0 = Instant::now();
-            let graph = TimingGraph::build_par(
-                nl,
-                &flow,
-                &qual,
-                *case,
-                opts.model,
-                SOURCE_RESISTANCE,
-                jobs,
-            );
+            let graph = TimingGraph::build(nl, &flow, &qual, *case, opts.model, SOURCE_RESISTANCE);
             build_ms += t0.elapsed().as_secs_f64() * 1e3;
             let t1 = Instant::now();
             results.push(propagate_with(
@@ -770,8 +761,7 @@ pub fn parallel_scaling(
     let schedules: Vec<tv_core::LevelSchedule> = cases
         .iter()
         .map(|(case, _, _)| {
-            TimingGraph::build_par(nl, &flow, &qual, *case, opts.model, SOURCE_RESISTANCE, 1)
-                .schedule
+            TimingGraph::build(nl, &flow, &qual, *case, opts.model, SOURCE_RESISTANCE).schedule
         })
         .collect();
     let prop_span_fraction = |jobs: usize| -> f64 {
@@ -796,12 +786,10 @@ pub fn parallel_scaling(
     let _ = run(1); // warm-up: page in the netlist and allocator
     let (base_build, base_prop, baseline) = run(1);
     // Project the whole-engine speedup from the measured serial split:
-    // graph build chunks its (thousands of) independent stage roots
-    // evenly, so its span is work / j; propagation follows the level
-    // schedule above.
+    // the graph build is serial (its span is its work); propagation
+    // follows the level schedule above.
     let modeled = |jobs: usize| -> f64 {
-        let j = jobs.max(1) as f64;
-        (base_build + base_prop) / (base_build / j + base_prop * prop_span_fraction(jobs))
+        (base_build + base_prop) / (base_build + base_prop * prop_span_fraction(jobs))
     };
     let same = |x: Option<f64>, y: Option<f64>| match (x, y) {
         (None, None) => true,

@@ -197,14 +197,15 @@ pub struct TimingGraph {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Minimum number of stage roots before graph construction fans out
-/// across threads; below this, thread startup dominates.
-pub(crate) const PAR_MIN_ROOTS: usize = 64;
-
 impl TimingGraph {
-    /// Builds the graph serially. `qualification` comes from
+    /// Builds the graph. `qualification` comes from
     /// [`tv_clocks::qualify::qualify_with_flow`]; `source_resistance` is
     /// the assumed driver resistance of primary inputs (kΩ).
+    ///
+    /// This is [`crate::macromodel::build_spanned`] without its spans
+    /// and partition: structurally identical stages are analyzed once
+    /// and instanced by pin remap, and the arc list is bit-identical to
+    /// a flat per-root build (DESIGN.md §16).
     pub fn build(
         netlist: &Netlist,
         flow: &FlowAnalysis,
@@ -213,28 +214,21 @@ impl TimingGraph {
         model: DelayModel,
         source_resistance: f64,
     ) -> Self {
-        Self::build_par(
+        crate::macromodel::build_spanned(
             netlist,
             flow,
             qualification,
             case,
             model,
             source_resistance,
-            1,
         )
+        .0
+        .graph
     }
 
-    /// Builds the graph with up to `jobs` worker threads. Each driving
-    /// stage is an independent RC problem, so workers build disjoint root
-    /// chunks and the per-chunk arc vectors are concatenated in root
-    /// order — the resulting arc list is **identical** to the serial
-    /// build at any thread count.
-    ///
-    /// Since the hierarchical extraction pass this routes through
-    /// [`crate::macromodel::build_spanned`]: structurally identical
-    /// stages are analyzed once and instanced by pin remap, with the
-    /// flat per-root build as the verified fallback. The arc list is
-    /// bit-identical either way (DESIGN.md §16).
+    /// [`TimingGraph::build`], kept for callers that pass a worker
+    /// count: the build is serial, so `jobs` no longer changes it —
+    /// `--jobs` parallelizes propagation only.
     #[allow(clippy::too_many_arguments)]
     pub fn build_par(
         netlist: &Netlist,
@@ -243,138 +237,9 @@ impl TimingGraph {
         case: PhaseCase,
         model: DelayModel,
         source_resistance: f64,
-        jobs: usize,
+        _jobs: usize,
     ) -> Self {
-        crate::macromodel::build_spanned(
-            netlist,
-            flow,
-            qualification,
-            case,
-            model,
-            source_resistance,
-            jobs,
-        )
-        .0
-        .graph
-    }
-
-    /// [`TimingGraph::build_par`] with a fault-injection hook called on
-    /// each root before its stage is built (tests exercise worker
-    /// isolation with a panicking hook; production callers pass `None`).
-    ///
-    /// A panic while building one stage is contained: that chunk is
-    /// rebuilt root-by-root, the panicking stage contributes no arcs, and
-    /// the omission lands in [`TimingGraph::diagnostics`]. Because a
-    /// panic on given inputs is deterministic, the surviving arc list is
-    /// still identical at any thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_isolated(
-        netlist: &Netlist,
-        flow: &FlowAnalysis,
-        qualification: &[Qualification],
-        case: PhaseCase,
-        model: DelayModel,
-        source_resistance: f64,
-        jobs: usize,
-        fault: Option<&(dyn Fn(NodeId) + Sync)>,
-    ) -> Self {
-        let builder = GraphBuilder {
-            netlist,
-            flow,
-            qualification,
-            case,
-            model,
-        };
-        let roots = builder.roots();
-        let threads = jobs.max(1).min(roots.len().max(1));
-        let mut diagnostics: Vec<Diagnostic> = Vec::new();
-
-        // Fast path for one chunk of roots: any panic voids the whole
-        // chunk (Err), which the caller then recovers root-by-root.
-        let build_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<Vec<Arc>, ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut arcs = Vec::new();
-                let mut scratch = BuildScratch::new(netlist.node_count());
-                for r in root_chunk {
-                    if let Some(hook) = fault {
-                        hook(r.0);
-                    }
-                    graph_build_fault_point();
-                    builder.build_root(r, source_resistance, &mut arcs, &mut scratch);
-                }
-                arcs
-            }))
-            .map_err(|_| ())
-        };
-        // Degraded path: per-root isolation. Each root builds into its
-        // own vector so a mid-stage panic discards only that stage. The
-        // scratch is fresh per root too — a panic can leave stale flags
-        // behind, and this path is rare enough not to optimize.
-        let recover_chunk = |root_chunk: &[(NodeId, RootKind)],
-                             diagnostics: &mut Vec<Diagnostic>|
-         -> Vec<Arc> {
-            let mut arcs = Vec::new();
-            for r in root_chunk {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    let mut part = Vec::new();
-                    let mut scratch = BuildScratch::new(netlist.node_count());
-                    if let Some(hook) = fault {
-                        hook(r.0);
-                    }
-                    builder.build_root(r, source_resistance, &mut part, &mut scratch);
-                    part
-                }));
-                match attempt {
-                        Ok(part) => arcs.extend(part),
-                        Err(_) => diagnostics.push(Diagnostic::error(
-                            codes::ANALYSIS_WORKER_PANIC,
-                            format!(
-                                "graph construction panicked for the stage rooted at node {:?}; stage omitted from analysis",
-                                netlist.node_name(r.0)
-                            ),
-                        )),
-                    }
-            }
-            arcs
-        };
-
-        let arcs: Vec<Arc> = if threads <= 1 || roots.len() < PAR_MIN_ROOTS {
-            match build_chunk(&roots) {
-                Ok(arcs) => arcs,
-                Err(()) => {
-                    diagnostics.push(degraded_build_note());
-                    recover_chunk(&roots, &mut diagnostics)
-                }
-            }
-        } else {
-            let chunk = roots.len().div_ceil(threads);
-            let parts: Vec<Result<Vec<Arc>, ()>> = std::thread::scope(|s| {
-                let handles: Vec<_> = roots
-                    .chunks(chunk)
-                    .map(|root_chunk| {
-                        let f = &build_chunk;
-                        s.spawn(move || f(root_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                    .collect()
-            });
-            if parts.iter().any(Result::is_err) {
-                diagnostics.push(degraded_build_note());
-            }
-            let mut arcs = Vec::new();
-            for (root_chunk, part) in roots.chunks(chunk).zip(parts) {
-                match part {
-                    Ok(p) => arcs.extend(p),
-                    Err(()) => arcs.extend(recover_chunk(root_chunk, &mut diagnostics)),
-                }
-            }
-            arcs
-        };
-
-        finish_graph(netlist.node_count(), arcs, case, diagnostics)
+        Self::build(netlist, flow, qualification, case, model, source_resistance)
     }
 
     /// Number of arcs.
@@ -455,9 +320,7 @@ impl TimingGraph {
 /// directions in two counting passes each (degree counts, prefix sums
 /// into offsets, then a cursor pass — iterating arcs in id order keeps
 /// each node's list ascending by arc id, the same order the old
-/// nested-Vec push loop produced), then the level schedule. Every build
-/// path — serial, parallel, isolated, spanned — funnels through here so
-/// the CSR layout is defined in exactly one place.
+/// nested-Vec push loop produced), then the level schedule.
 pub(crate) fn finish_graph(
     node_count: usize,
     arcs: Vec<Arc>,
@@ -505,13 +368,13 @@ pub(crate) fn finish_graph(
 /// A graph built with its root list and per-root arc spans recorded —
 /// the substrate for the pass pipeline's stage-granular splicing.
 pub(crate) struct SpannedBuild {
-    /// The finished graph, arc-identical to [`TimingGraph::build_par`].
+    /// The finished graph.
     pub(crate) graph: TimingGraph,
     /// Build roots in deterministic (node id) order.
     pub(crate) roots: Vec<(NodeId, RootKind)>,
     /// Prefix offsets, `roots.len() + 1` entries: root `k` owns arcs
-    /// `spans[k] as usize .. spans[k + 1] as usize`. `None` when a build
-    /// worker panicked — the degraded per-stage recovery path omits
+    /// `spans[k] as usize .. spans[k + 1] as usize`. `None` when a stage
+    /// build panicked — the degraded per-stage recovery pass may omit
     /// stages, so spans would lie; callers then fall back to full
     /// rebuilds, which is exactly the conservative behavior wanted for a
     /// netlist that crashes the builder.
@@ -649,9 +512,9 @@ impl<'a> GraphBuilder<'a> {
     }
 }
 
-/// Fault plane: a forced build-worker panic, caught by the same
-/// per-chunk/per-stage isolation that contains a genuine one (every
-/// per-root build loop sits under `catch_unwind`).
+/// Fault plane: a forced graph-build panic, caught by the same
+/// isolation that contains a genuine one (every per-root build loop
+/// sits under `catch_unwind`).
 pub(crate) fn graph_build_fault_point() {
     if tv_fault::fault_point!(tv_fault::Site::GraphBuild) {
         tv_obs::incr(tv_obs::Counter::FaultInjected);
@@ -661,7 +524,7 @@ pub(crate) fn graph_build_fault_point() {
 
 /// The shared "a build worker panicked" note (also the telemetry point
 /// recording that a build degraded to per-stage isolation).
-fn degraded_build_note() -> Diagnostic {
+pub(crate) fn degraded_build_note() -> Diagnostic {
     tv_obs::incr(tv_obs::Counter::FaultDegraded);
     Diagnostic::warning(
         codes::ANALYSIS_WORKER_PANIC,
@@ -682,7 +545,7 @@ pub(crate) enum RootKind {
 
 /// Per-root arc builder. `pub(crate)` so the pass pipeline can reuse the
 /// exact per-stage construction for root-granular splicing; external
-/// callers go through [`TimingGraph::build_par`].
+/// callers go through [`TimingGraph::build`].
 pub(crate) struct GraphBuilder<'a> {
     pub(crate) netlist: &'a Netlist,
     pub(crate) flow: &'a FlowAnalysis,
@@ -700,8 +563,8 @@ pub(crate) struct WalkNode {
     pub(crate) via: Option<DeviceId>,
 }
 
-/// Reusable per-worker buffers for stage construction. One instance
-/// serves every root a worker builds, so the steady-state build does no
+/// Reusable buffers for stage construction. One instance serves every
+/// root a build pass visits, so the steady-state build does no
 /// per-root allocation: visited sets are epoch-stamped stamps rather
 /// than hash sets, and the old per-root `vec![false; node_count]` in
 /// the pull-down scan (quadratic over the whole netlist) becomes one
@@ -1591,7 +1454,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_bit_identical_to_serial() {
+    fn build_par_ignores_the_worker_count() {
         let circuit = tv_gen::random::random_logic(
             Tech::nmos4um(),
             600,
@@ -1606,21 +1469,25 @@ mod tests {
             for jobs in [2usize, 3, 8] {
                 let par =
                     TimingGraph::build_par(nl, &flow, &q, case, DelayModel::Elmore, 1.0, jobs);
-                assert_eq!(serial.arc_count(), par.arc_count());
-                for (a, b) in serial.arcs.iter().zip(&par.arcs) {
-                    assert_eq!(a.from, b.from);
-                    assert_eq!(a.to, b.to);
-                    assert_eq!(a.rise_delay.to_bits(), b.rise_delay.to_bits());
-                    assert_eq!(a.fall_delay.to_bits(), b.fall_delay.to_bits());
-                    assert_eq!(a.rise_tau.to_bits(), b.rise_tau.to_bits());
-                    assert_eq!(a.fall_tau.to_bits(), b.fall_tau.to_bits());
-                    assert_eq!(a.inverting, b.inverting);
-                    assert_eq!(a.kind, b.kind);
-                }
+                assert_arcs_identical(&serial, &par);
                 assert_eq!(serial.schedule.order, par.schedule.order);
                 assert_eq!(serial.schedule.level_starts, par.schedule.level_starts);
                 assert_eq!(serial.schedule.residue, par.schedule.residue);
             }
+        }
+    }
+
+    fn assert_arcs_identical(a: &TimingGraph, b: &TimingGraph) {
+        assert_eq!(a.arc_count(), b.arc_count());
+        for (x, y) in a.arcs.iter().zip(&b.arcs) {
+            assert_eq!(x.from, y.from);
+            assert_eq!(x.to, y.to);
+            assert_eq!(x.rise_delay.to_bits(), y.rise_delay.to_bits());
+            assert_eq!(x.fall_delay.to_bits(), y.fall_delay.to_bits());
+            assert_eq!(x.rise_tau.to_bits(), y.rise_tau.to_bits());
+            assert_eq!(x.fall_tau.to_bits(), y.fall_tau.to_bits());
+            assert_eq!(x.inverting, y.inverting);
+            assert_eq!(x.kind, y.kind);
         }
     }
 
@@ -1635,54 +1502,70 @@ mod tests {
         let nl = &circuit.netlist;
         let flow = analyze(nl, &RuleSet::all());
         let q = qualify_with_flow(nl, &flow);
-        let clean = TimingGraph::build(
-            nl,
-            &flow,
-            &q,
-            PhaseCase::all_active(),
-            DelayModel::Elmore,
-            1.0,
-        );
-        assert!(clean.diagnostics.is_empty());
+        let case = PhaseCase::all_active();
+        let (clean, _) =
+            crate::macromodel::build_spanned(nl, &flow, &q, case, DelayModel::Elmore, 1.0);
+        assert!(clean.graph.diagnostics.is_empty());
         // Poison one mid-list stage root and require the rest to survive.
         let builder = GraphBuilder {
             netlist: nl,
             flow: &flow,
             qualification: &q,
-            case: PhaseCase::all_active(),
+            case,
             model: DelayModel::Elmore,
         };
         let roots = builder.roots();
-        let bad = roots[roots.len() / 2].0;
+        let k = roots.len() / 2;
+        let bad = roots[k].0;
         let hook = move |root: NodeId| {
             if root == bad {
                 panic!("injected fault");
             }
         };
-        let build_at = |jobs: usize| {
-            TimingGraph::build_isolated(
-                nl,
-                &flow,
-                &q,
-                PhaseCase::all_active(),
-                DelayModel::Elmore,
-                1.0,
-                jobs,
-                Some(&hook),
-            )
-        };
-        let serial = build_at(1);
-        assert!(serial.arc_count() < clean.arc_count(), "stage was omitted");
-        assert!(serial
+        let (reference, extraction) = crate::macromodel::build_hooked(&builder, 1.0, Some(&hook));
+        assert!(extraction.is_none(), "a panic degrades the build");
+        let reference = reference.graph;
+        // Exactly the poisoned stage's span is missing; every other
+        // stage's arcs are the clean build's, in order.
+        let spans = clean.spans.expect("clean build records spans");
+        let span = spans[k] as usize..spans[k + 1] as usize;
+        assert!(!span.is_empty(), "stage was omitted");
+        let mut expect = clean.graph.clone();
+        expect.arcs.drain(span);
+        assert_arcs_identical(&expect, &reference);
+        // One degraded-build note, then one error naming the stage.
+        let codes: Vec<_> = reference
             .diagnostics
             .iter()
-            .any(|d| d.code == tv_netlist::codes::ANALYSIS_WORKER_PANIC));
-        let par = build_at(4);
-        assert_eq!(serial.arc_count(), par.arc_count());
-        for (a, b) in serial.arcs.iter().zip(&par.arcs) {
-            assert_eq!(a.from, b.from);
-            assert_eq!(a.to, b.to);
-            assert_eq!(a.rise_delay.to_bits(), b.rise_delay.to_bits());
+            .map(|d| (d.code, d.severity))
+            .collect();
+        assert_eq!(
+            codes,
+            [
+                (
+                    tv_netlist::codes::ANALYSIS_WORKER_PANIC,
+                    tv_netlist::Severity::Warning
+                ),
+                (
+                    tv_netlist::codes::ANALYSIS_WORKER_PANIC,
+                    tv_netlist::Severity::Error
+                ),
+            ]
+        );
+        assert!(reference.diagnostics[1].message.contains(nl.node_name(bad)));
+        // The build takes no worker count: at any `--jobs` the degraded
+        // graph, its diagnostics, and its propagation are the same.
+        let sources: Vec<NodeId> = nl.inputs().to_vec();
+        let outputs: Vec<NodeId> = nl.outputs().to_vec();
+        let slope = tv_rc::slope::SlopeModel::default();
+        let base = crate::propagate::propagate_with(nl, &reference, &sources, &outputs, &slope, 1);
+        for jobs in [1usize, 2, 8] {
+            let (sb, _) = crate::macromodel::build_hooked(&builder, 1.0, Some(&hook));
+            assert_arcs_identical(&reference, &sb.graph);
+            assert_eq!(reference.diagnostics, sb.graph.diagnostics, "jobs {jobs}");
+            let r =
+                crate::propagate::propagate_with(nl, &sb.graph, &sources, &outputs, &slope, jobs);
+            assert_eq!(base.endpoints, r.endpoints, "jobs {jobs}");
         }
     }
 

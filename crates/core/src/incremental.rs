@@ -201,13 +201,16 @@ impl IncrementalCache {
             // stay schedule-independent.
             if guards.deadline.is_none() && cone.len() * 2 <= n {
                 tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
+                // Patches the snapshot in place. A flip under a diverged
+                // residue falls through to the full walk below, which
+                // overwrites or removes this entry either way.
                 let (mut result, flipped) = propagate_cone(
                     graph,
                     sources,
                     endpoints,
                     slope,
                     &cone,
-                    &entry.arrivals,
+                    &mut entry.arrivals,
                     workspace,
                 );
                 if !(flipped && entry.residue.is_some()) {
@@ -217,18 +220,6 @@ impl IncrementalCache {
                         result.completion = Completion::BudgetExhausted;
                         result.unresolved.clone_from(&r.unresolved);
                         result.diagnostics.clone_from(&r.diagnostics);
-                    }
-                    // Rows outside the cone are bit-identical to what the
-                    // snapshot holds: copy only the cone's.
-                    let (old, new) = (&mut entry.arrivals, &result.arrivals);
-                    for &i in &cone {
-                        let i = i as usize;
-                        old.rise[i] = new.rise[i];
-                        old.fall[i] = new.fall[i];
-                        old.trans_rise[i] = new.trans_rise[i];
-                        old.trans_fall[i] = new.trans_fall[i];
-                        old.pred_rise[i] = new.pred_rise[i];
-                        old.pred_fall[i] = new.pred_fall[i];
                     }
                     let recomputed = cone.len();
                     entry.step = Some((entry.graph_fp, cone));

@@ -31,22 +31,23 @@
 //! assignment scans the trace in one fixed order, so pin `k` of an
 //! instance corresponds to pin `k` of its master by construction.
 //!
-//! Any panic anywhere in extraction degrades to the flat
-//! per-stage-isolated build ([`TimingGraph::build_isolated`]) — the
-//! same conservative fallback the spanned flat build used.
+//! The flat build is the degenerate case of the same builder: every
+//! root opaque, built by `build_root` inside the emission loop. Any
+//! panic anywhere in extraction degrades to that pass, run with
+//! per-root isolation (see [`build_spanned`]).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tv_clocks::qualify::Qualification;
 use tv_flow::{DeviceRole, FlowAnalysis, NodeClass};
-use tv_netlist::{Netlist, NodeId};
+use tv_netlist::{codes, Diagnostic, Netlist, NodeId};
 
 use crate::fingerprint::mix64;
 use crate::graph::{
-    finish_graph, graph_build_fault_point, pull_down_resistance_with, pull_up_resistance,
-    stage_inputs_into, Arc, ArcKind, BuildScratch, GraphBuilder, PhaseCase, RootKind, SpannedBuild,
-    StageInputKind, TimingGraph, PAR_MIN_ROOTS,
+    degraded_build_note, finish_graph, graph_build_fault_point, pull_down_resistance_with,
+    pull_up_resistance, stage_inputs_into, Arc, ArcKind, BuildScratch, GraphBuilder, PhaseCase,
+    RootKind, SpannedBuild, StageInputKind,
 };
 use crate::options::DelayModel;
 
@@ -315,22 +316,16 @@ fn root_key(stage_hashes: &[u64], flow: &FlowAnalysis, root: &(NodeId, RootKind)
     )
 }
 
-/// Per-chunk output of the signature phase.
-struct Sigs {
-    canon: Vec<u64>,
-    pins: Vec<NodeId>,
-    /// `(grouping key, canon word count, pin count)` per root.
-    meta: Vec<(u64, u32, u32)>,
-}
-
-/// The hierarchical replacement for the flat spanned build: groups the
-/// root set into equivalence classes, analyzes one master per class,
-/// instances the rest, and finishes a graph whose arc list is
-/// bit-identical to [`TimingGraph::build_par`]'s flat output at any
-/// thread count. Returns the per-root arc spans (for splicing) and the
-/// [`Extraction`] partition (for de-sharing); the extraction is `None`
-/// when a panic degraded the build to flat per-stage isolation.
-#[allow(clippy::too_many_arguments)]
+/// The hierarchical graph build, and the only one: groups the root set
+/// into equivalence classes, analyzes one master per class, instances
+/// the rest, and finishes a graph whose arc list is bit-identical to a
+/// flat per-root build. Serial — `--jobs` parallelizes propagation only.
+/// Returns the per-root arc spans (for splicing) and the [`Extraction`]
+/// partition (for de-sharing).
+///
+/// A panic anywhere in extraction degrades to the all-opaque flat pass
+/// of the same emission loop with per-root isolation; spans and
+/// extraction are then `None`.
 pub(crate) fn build_spanned(
     netlist: &Netlist,
     flow: &FlowAnalysis,
@@ -338,77 +333,123 @@ pub(crate) fn build_spanned(
     case: PhaseCase,
     model: DelayModel,
     source_resistance: f64,
-    jobs: usize,
 ) -> (SpannedBuild, Option<Extraction>) {
-    let builder = GraphBuilder {
-        netlist,
-        flow,
-        qualification,
-        case,
-        model,
-    };
-    let roots = builder.roots();
-    match hier_build(&builder, &roots, source_resistance, jobs) {
-        Some((arcs, spans, extraction)) => {
-            debug_assert_eq!(*spans.last().unwrap() as usize, arcs.len());
-            (
-                SpannedBuild {
-                    graph: finish_graph(netlist.node_count(), arcs, case, Vec::new()),
-                    roots,
-                    spans: Some(spans),
-                },
-                Some(extraction),
-            )
-        }
-        None => {
-            // A stage build panicked during extraction: delegate to the
-            // isolated flat builder, which contains the fault per stage
-            // and records diagnostics. No spans, no sharing.
-            tv_obs::incr(tv_obs::Counter::FaultDegraded);
-            let graph = TimingGraph::build_isolated(
-                netlist,
-                flow,
-                qualification,
-                case,
-                model,
-                source_resistance,
-                jobs,
-                None,
-            );
-            (
-                SpannedBuild {
-                    graph,
-                    roots,
-                    spans: None,
-                },
-                None,
-            )
-        }
-    }
+    build_hooked(
+        &GraphBuilder {
+            netlist,
+            flow,
+            qualification,
+            case,
+            model,
+        },
+        source_resistance,
+        None,
+    )
 }
 
-/// The four-phase extraction. Phases A (signatures) and D (emission)
-/// chunk the root set exactly like the flat parallel build, so the
-/// concatenated output is independent of `jobs`; phase B (grouping) is
-/// serial in root order; phase C parallelizes over class masters.
-fn hier_build(
+/// [`build_spanned`] with a fault-injection hook called on each root
+/// before it is signed or built flat (tests poison one root with a
+/// panicking hook; production passes `None`).
+pub(crate) fn build_hooked(
+    builder: &GraphBuilder<'_>,
+    source_resistance: f64,
+    hook: Option<&dyn Fn(NodeId)>,
+) -> (SpannedBuild, Option<Extraction>) {
+    let roots = builder.roots();
+    let node_count = builder.netlist.node_count();
+    let extracted = catch_unwind(AssertUnwindSafe(|| {
+        extract(builder, &roots, source_resistance, hook)
+    }));
+    if let Ok((arcs, spans, extraction)) = extracted {
+        return (
+            SpannedBuild {
+                graph: finish_graph(node_count, arcs, builder.case, Vec::new()),
+                roots,
+                spans: Some(spans),
+            },
+            Some(extraction),
+        );
+    }
+    // Degraded: every root opaque, each built flat under its own
+    // `catch_unwind`. The first panic records the degraded-build note;
+    // the panicking root is rebuilt once without the fault point, and a
+    // second panic omits its stage with an error. A panic can leave
+    // stale scratch flags behind, so each one swaps in a fresh scratch.
+    tv_obs::incr(tv_obs::Counter::FaultDegraded);
+    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+    let mut scratch = BuildScratch::new(node_count);
+    let (arcs, _) = emit(
+        &roots,
+        |_| None,
+        |root: &(NodeId, RootKind), arcs: &mut Vec<Arc>| {
+            let before = arcs.len();
+            let mut attempt = |fault_point: bool| {
+                let built = catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(h) = hook {
+                        h(root.0);
+                    }
+                    if fault_point {
+                        graph_build_fault_point();
+                    }
+                    builder.build_root(root, source_resistance, arcs, &mut scratch);
+                }));
+                if built.is_err() {
+                    arcs.truncate(before);
+                    scratch = BuildScratch::new(node_count);
+                }
+                built.is_ok()
+            };
+            if attempt(true) {
+                return;
+            }
+            if diagnostics.is_empty() {
+                diagnostics.push(degraded_build_note());
+            }
+            if !attempt(false) {
+                diagnostics.push(Diagnostic::error(
+                    codes::ANALYSIS_WORKER_PANIC,
+                    format!(
+                        "graph construction panicked for the stage rooted at node {:?}; stage omitted from analysis",
+                        builder.netlist.node_name(root.0)
+                    ),
+                ));
+            }
+        },
+    );
+    (
+        SpannedBuild {
+            graph: finish_graph(node_count, arcs, builder.case, diagnostics),
+            roots,
+            spans: None,
+        },
+        None,
+    )
+}
+
+/// The four serial extraction phases: A signs every root (key,
+/// canonical trace, pin table) and B groups it into its class as it is
+/// signed, C analyzes one master per class into a pin-indexed table,
+/// and D emits every root in order.
+fn extract(
     builder: &GraphBuilder<'_>,
     roots: &[(NodeId, RootKind)],
     source_resistance: f64,
-    jobs: usize,
-) -> Option<(Vec<Arc>, Vec<u32>, Extraction)> {
+    hook: Option<&dyn Fn(NodeId)>,
+) -> (Vec<Arc>, Vec<u32>, Extraction) {
     let nl = builder.netlist;
     let node_count = nl.node_count();
     let n_roots = roots.len();
     let stage_hashes = builder.flow.stages().structural_hashes(nl);
-    let threads = jobs.max(1).min(n_roots.max(1));
-    let serial = threads <= 1 || n_roots < PAR_MIN_ROOTS;
+    let mut scratch = BuildScratch::new(node_count);
+    let mut ms = MacroScratch::new(node_count);
 
-    // Phases A (signatures) and B (grouping): every root gets a key +
-    // canonical trace + pin table, then joins its class in
-    // deterministic root order, with the canonical-trace comparison
-    // against the candidate class's master as the collision check —
-    // equal keys with different traces stay separate classes.
+    // Phases A and B: each root joins its class in root order, with the
+    // canonical-trace comparison against the candidate class's master
+    // as the collision check — equal keys with different traces stay
+    // separate classes. A root's canon lives only for its own iteration
+    // unless it founds a class: the store holds master traces only, so
+    // the build never retains the all-roots canon stream (hundreds of
+    // MB at a million devices).
     let mut class_of = vec![0u32; n_roots];
     let mut masters: Vec<u32> = Vec::new();
     let mut class_len: Vec<u32> = Vec::new();
@@ -417,329 +458,111 @@ fn hier_build(
     let mut pin_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
     pin_starts.push(0);
     let mut by_key: HashMap<u64, Vec<u32>> = HashMap::new();
-
-    if serial {
-        // Fused A+B: one pass, grouping each root as it is signed. A
-        // root's canon lives only for its own iteration unless it
-        // founds a class — the store holds master traces only, so the
-        // at-scale serial build never retains the all-roots canon
-        // stream (hundreds of MB at a million devices) that the staged
-        // parallel path trades for worker concurrency.
-        let mut master_canon: Vec<u64> = Vec::new();
-        let mut master_canon_starts: Vec<usize> = vec![0];
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = BuildScratch::new(node_count);
-            let mut ms = MacroScratch::new(node_count);
-            let mut canon_buf: Vec<u64> = Vec::new();
-            // Per-root pin buffer: ordinals recorded in the canon are
-            // indices into *this root's* pin table, so it must restart
-            // at zero for every root (a shared running buffer would
-            // leak the root's position into its canon and kill all
-            // sharing).
-            let mut pin_buf: Vec<NodeId> = Vec::new();
-            for (r, root) in roots.iter().enumerate() {
-                graph_build_fault_point();
-                canon_buf.clear();
-                pin_buf.clear();
-                root_canon(
-                    builder,
-                    root,
-                    &mut scratch,
-                    &mut ms,
-                    &mut canon_buf,
-                    &mut pin_buf,
-                );
-                keys.push(root_key(&stage_hashes, builder.flow, root));
-                pins_all.extend_from_slice(&pin_buf);
-                pin_starts.push(pins_all.len());
-                let cands = by_key.entry(keys[r]).or_default();
-                let hit = cands.iter().copied().find(|&cid| {
-                    let c = cid as usize;
-                    master_canon[master_canon_starts[c]..master_canon_starts[c + 1]]
-                        == canon_buf[..]
-                });
-                match hit {
-                    Some(cid) => {
-                        class_of[r] = cid;
-                        class_len[cid as usize] += 1;
-                    }
-                    None => {
-                        let cid = masters.len() as u32;
-                        masters.push(r as u32);
-                        class_len.push(1);
-                        class_of[r] = cid;
-                        cands.push(cid);
-                        master_canon.extend_from_slice(&canon_buf);
-                        master_canon_starts.push(master_canon.len());
-                    }
-                }
-            }
-        }))
-        .ok()?;
-    } else {
-        // Staged A then B: workers sign chunks of the root set in
-        // parallel — the chunk cover is a pure function of the root
-        // list, never of the schedule, so the merged root-ordered
-        // signature stream (and therefore the grouping) is independent
-        // of `jobs` and bit-identical to the fused path's.
-        let sign_chunk = |root_chunk: &[(NodeId, RootKind)]| -> Result<Sigs, ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut scratch = BuildScratch::new(node_count);
-                let mut ms = MacroScratch::new(node_count);
-                // See the fused path: pin ordinals restart per root.
-                let mut pin_buf: Vec<NodeId> = Vec::new();
-                let mut sigs = Sigs {
-                    canon: Vec::new(),
-                    pins: Vec::new(),
-                    meta: Vec::with_capacity(root_chunk.len()),
-                };
-                for r in root_chunk {
-                    graph_build_fault_point();
-                    let c0 = sigs.canon.len();
-                    pin_buf.clear();
-                    root_canon(
-                        builder,
-                        r,
-                        &mut scratch,
-                        &mut ms,
-                        &mut sigs.canon,
-                        &mut pin_buf,
-                    );
-                    let key = root_key(&stage_hashes, builder.flow, r);
-                    sigs.meta
-                        .push((key, (sigs.canon.len() - c0) as u32, pin_buf.len() as u32));
-                    sigs.pins.extend_from_slice(&pin_buf);
-                }
-                sigs
-            }))
-            .map_err(|_| ())
-        };
-        let chunk = n_roots.div_ceil(threads);
-        let parts: Vec<Result<Sigs, ()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk)
-                .map(|rc| {
-                    let f = &sign_chunk;
-                    s.spawn(move || f(rc))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
+    let mut master_canon: Vec<u64> = Vec::new();
+    let mut master_canon_starts: Vec<usize> = vec![0];
+    let mut canon_buf: Vec<u64> = Vec::new();
+    // Per-root pin buffer: ordinals recorded in the canon are indices
+    // into *this root's* pin table, so it must restart at zero for every
+    // root (a shared running buffer would leak the root's position into
+    // its canon and kill all sharing).
+    let mut pin_buf: Vec<NodeId> = Vec::new();
+    for (r, root) in roots.iter().enumerate() {
+        if let Some(h) = hook {
+            h(root.0);
+        }
+        graph_build_fault_point();
+        canon_buf.clear();
+        pin_buf.clear();
+        root_canon(
+            builder,
+            root,
+            &mut scratch,
+            &mut ms,
+            &mut canon_buf,
+            &mut pin_buf,
+        );
+        keys.push(root_key(&stage_hashes, builder.flow, root));
+        pins_all.extend_from_slice(&pin_buf);
+        pin_starts.push(pins_all.len());
+        let cands = by_key.entry(keys[r]).or_default();
+        let hit = cands.iter().copied().find(|&cid| {
+            let c = cid as usize;
+            master_canon[master_canon_starts[c]..master_canon_starts[c + 1]] == canon_buf[..]
         });
-        let mut sigs_parts: Vec<Sigs> = Vec::with_capacity(parts.len());
-        for part in parts {
-            sigs_parts.push(part.ok()?);
-        }
-        // Exact-capacity merge: these streams are large at scale, and
-        // growth doubling would copy them more than once.
-        let canon_total: usize = sigs_parts.iter().map(|p| p.canon.len()).sum();
-        let pin_total: usize = sigs_parts.iter().map(|p| p.pins.len()).sum();
-        let mut canon_all: Vec<u64> = Vec::with_capacity(canon_total);
-        let mut canon_starts: Vec<usize> = Vec::with_capacity(n_roots + 1);
-        canon_starts.push(0);
-        pins_all.reserve_exact(pin_total);
-        for sigs in sigs_parts {
-            canon_all.extend_from_slice(&sigs.canon);
-            pins_all.extend_from_slice(&sigs.pins);
-            for (key, cw, pw) in sigs.meta {
-                keys.push(key);
-                canon_starts.push(canon_starts.last().unwrap() + cw as usize);
-                pin_starts.push(pin_starts.last().unwrap() + pw as usize);
+        match hit {
+            Some(cid) => {
+                class_of[r] = cid;
+                class_len[cid as usize] += 1;
             }
-        }
-        for r in 0..n_roots {
-            let c = &canon_all[canon_starts[r]..canon_starts[r + 1]];
-            let cands = by_key.entry(keys[r]).or_default();
-            let hit = cands.iter().copied().find(|&cid| {
-                let m = masters[cid as usize] as usize;
-                canon_all[canon_starts[m]..canon_starts[m + 1]] == *c
-            });
-            match hit {
-                Some(cid) => {
-                    class_of[r] = cid;
-                    class_len[cid as usize] += 1;
-                }
-                None => {
-                    let cid = masters.len() as u32;
-                    masters.push(r as u32);
-                    class_len.push(1);
-                    class_of[r] = cid;
-                    cands.push(cid);
-                }
+            None => {
+                let cid = masters.len() as u32;
+                masters.push(r as u32);
+                class_len.push(1);
+                class_of[r] = cid;
+                cands.push(cid);
+                master_canon.extend_from_slice(&canon_buf);
+                master_canon_starts.push(master_canon.len());
             }
         }
     }
     drop(by_key);
+    drop(master_canon);
 
     // Phase C: analyze one master per class into a pin-indexed table.
-    let n_classes = masters.len();
-    let analyze_chunk = |master_chunk: &[u32]| -> Result<Vec<MacroTable>, ()> {
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = BuildScratch::new(node_count);
-            let mut ms = MacroScratch::new(node_count);
-            let mut arcs: Vec<Arc> = Vec::new();
-            let mut tables = Vec::with_capacity(master_chunk.len());
-            for &m in master_chunk {
-                let m = m as usize;
-                arcs.clear();
-                builder.build_root(&roots[m], source_resistance, &mut arcs, &mut scratch);
-                let pins = &pins_all[pin_starts[m]..pin_starts[m + 1]];
-                ms.begin();
-                for (i, &p) in pins.iter().enumerate() {
-                    ms.mark[p.index()] = ms.epoch;
-                    ms.ord[p.index()] = i as u32;
-                }
-                let mut table = Vec::with_capacity(arcs.len());
-                let mut complete = true;
-                for a in &arcs {
-                    let (Some(from_pin), Some(to_pin)) = (ms.lookup(a.from), ms.lookup(a.to))
-                    else {
-                        complete = false;
-                        break;
-                    };
-                    table.push(MacroArc {
-                        from_pin,
-                        to_pin,
+    let mut arcs: Vec<Arc> = Vec::new();
+    let tables: Vec<MacroTable> = masters
+        .iter()
+        .map(|&m| {
+            let m = m as usize;
+            arcs.clear();
+            builder.build_root(&roots[m], source_resistance, &mut arcs, &mut scratch);
+            ms.begin();
+            for (i, &p) in pins_all[pin_starts[m]..pin_starts[m + 1]]
+                .iter()
+                .enumerate()
+            {
+                ms.mark[p.index()] = ms.epoch;
+                ms.ord[p.index()] = i as u32;
+            }
+            arcs.iter()
+                .map(|a| {
+                    Some(MacroArc {
+                        from_pin: ms.lookup(a.from)?,
+                        to_pin: ms.lookup(a.to)?,
                         rise_delay: a.rise_delay,
                         fall_delay: a.fall_delay,
                         rise_tau: a.rise_tau,
                         fall_tau: a.fall_tau,
                         inverting: a.inverting,
                         kind: a.kind,
-                    });
-                }
-                tables.push(if complete {
-                    MacroTable::Arcs(table)
-                } else {
-                    MacroTable::Opaque
-                });
-            }
-            tables
-        }))
-        .map_err(|_| ())
-    };
-    let table_parts: Vec<Result<Vec<MacroTable>, ()>> = if threads <= 1 || n_classes < PAR_MIN_ROOTS
-    {
-        vec![analyze_chunk(&masters)]
-    } else {
-        let chunk = n_classes.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = masters
-                .chunks(chunk)
-                .map(|mc| {
-                    let f = &analyze_chunk;
-                    s.spawn(move || f(mc))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
-        })
-    };
-    let mut tables: Vec<MacroTable> = Vec::with_capacity(n_classes);
-    for part in table_parts {
-        tables.extend(part.ok()?);
-    }
-
-    // Phase D: emit every root in order — shared classes by pin remap,
-    // opaque classes by direct flat build.
-    let emit_chunk =
-        |start: usize, root_chunk: &[(NodeId, RootKind)]| -> Result<(Vec<Arc>, Vec<u32>), ()> {
-            catch_unwind(AssertUnwindSafe(|| {
-                // Reserve the exact instanced-arc total upfront (opaque
-                // roots still grow, but they are the rare case): at a
-                // million devices the chunk emits tens of millions of
-                // arcs, and growth doubling would copy them repeatedly.
-                let est: usize = (0..root_chunk.len())
-                    .map(|j| match &tables[class_of[start + j] as usize] {
-                        MacroTable::Arcs(t) => t.len(),
-                        MacroTable::Opaque => 0,
                     })
-                    .sum();
-                let mut arcs: Vec<Arc> = Vec::with_capacity(est);
-                let mut counts: Vec<u32> = Vec::with_capacity(root_chunk.len());
-                let mut scratch = BuildScratch::new(node_count);
-                for (j, r) in root_chunk.iter().enumerate() {
-                    let ri = start + j;
-                    let before = arcs.len();
-                    match &tables[class_of[ri] as usize] {
-                        MacroTable::Arcs(table) => {
-                            let pins = &pins_all[pin_starts[ri]..pin_starts[ri + 1]];
-                            for ma in table {
-                                arcs.push(Arc {
-                                    from: pins[ma.from_pin as usize],
-                                    to: pins[ma.to_pin as usize],
-                                    rise_delay: ma.rise_delay,
-                                    fall_delay: ma.fall_delay,
-                                    rise_tau: ma.rise_tau,
-                                    fall_tau: ma.fall_tau,
-                                    inverting: ma.inverting,
-                                    kind: ma.kind,
-                                });
-                            }
-                        }
-                        MacroTable::Opaque => {
-                            builder.build_root(r, source_resistance, &mut arcs, &mut scratch);
-                        }
-                    }
-                    counts.push((arcs.len() - before) as u32);
-                }
-                (arcs, counts)
-            }))
-            .map_err(|_| ())
-        };
-    type EmitResult = Result<(Vec<Arc>, Vec<u32>), ()>;
-    let emit_parts: Vec<EmitResult> = if serial {
-        vec![emit_chunk(0, roots)]
-    } else {
-        let chunk = n_roots.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = roots
-                .chunks(chunk)
-                .enumerate()
-                .map(|(k, rc)| {
-                    let f = &emit_chunk;
-                    s.spawn(move || f(k * chunk, rc))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panic is caught inside the closure"))
-                .collect()
+                .collect::<Option<Vec<MacroArc>>>()
+                .map_or(MacroTable::Opaque, MacroTable::Arcs)
         })
-    };
+        .collect();
+    drop(arcs);
 
-    let mut parts_ok: Vec<(Vec<Arc>, Vec<u32>)> = Vec::with_capacity(emit_parts.len());
-    for part in emit_parts {
-        parts_ok.push(part.ok()?);
-    }
-    let arc_total: usize = parts_ok.iter().map(|(a, _)| a.len()).sum();
-    let mut arcs: Vec<Arc> = Vec::new();
-    let mut spans: Vec<u32> = Vec::with_capacity(n_roots + 1);
-    spans.push(0);
-    // The serial build produces one part: take its vector whole rather
-    // than copying ~GBs of arcs through an extend.
-    for (i, (part_arcs, counts)) in parts_ok.into_iter().enumerate() {
-        for c in counts {
-            spans.push(spans.last().unwrap() + c);
-        }
-        if i == 0 {
-            arcs = part_arcs;
-            arcs.reserve_exact(arc_total - arcs.len());
-        } else {
-            arcs.extend(part_arcs);
-        }
-    }
+    // Phase D: shared classes by pin remap, opaque ones by flat build.
+    let (arcs, spans) = emit(
+        roots,
+        |r| match &tables[class_of[r] as usize] {
+            MacroTable::Arcs(t) => {
+                Some((t.as_slice(), &pins_all[pin_starts[r]..pin_starts[r + 1]]))
+            }
+            MacroTable::Opaque => None,
+        },
+        |root: &(NodeId, RootKind), arcs: &mut Vec<Arc>| {
+            builder.build_root(root, source_resistance, arcs, &mut scratch)
+        },
+    );
 
     // Work accounting: a class whose table shared counts one analysis
     // and `len - 1` instancings; an opaque class analyzed every member.
     let mut analyzed: u64 = 0;
     let mut instanced: u64 = 0;
-    for (cid, &len) in class_len.iter().enumerate() {
-        match &tables[cid] {
+    for (table, &len) in tables.iter().zip(&class_len) {
+        match table {
             MacroTable::Arcs(_) => {
                 analyzed += 1;
                 instanced += (len - 1) as u64;
@@ -747,6 +570,7 @@ fn hier_build(
             MacroTable::Opaque => analyzed += len as u64,
         }
     }
+    let n_classes = masters.len();
     tv_obs::add(tv_obs::Counter::MacroClasses, n_classes as u64);
     tv_obs::add(tv_obs::Counter::MacroAnalyzed, analyzed);
     tv_obs::add(tv_obs::Counter::MacroInstanced, instanced);
@@ -757,7 +581,7 @@ fn hier_build(
         fp = mix64(fp, class_of[r] as u64);
     }
 
-    Some((
+    (
         arcs,
         spans,
         Extraction {
@@ -768,27 +592,99 @@ fn hier_build(
             instanced,
             fp,
         },
-    ))
+    )
+}
+
+/// Emits every root in root order and returns the arcs with their
+/// per-root prefix spans. A root `table_of` maps to a shared table is
+/// instanced by remapping the table's pin ordinals onto its own pin
+/// table; every other root — all of them in the degraded all-opaque
+/// pass — goes through `build_flat`.
+fn emit<'t>(
+    roots: &[(NodeId, RootKind)],
+    table_of: impl Fn(usize) -> Option<(&'t [MacroArc], &'t [NodeId])>,
+    mut build_flat: impl FnMut(&(NodeId, RootKind), &mut Vec<Arc>),
+) -> (Vec<Arc>, Vec<u32>) {
+    // Reserve the exact instanced-arc total upfront (opaque roots still
+    // grow, but they are the rare case): at a million devices the build
+    // emits tens of millions of arcs, and growth doubling would copy
+    // them repeatedly.
+    let est: usize = (0..roots.len())
+        .filter_map(|r| table_of(r).map(|(t, _)| t.len()))
+        .sum();
+    let mut arcs: Vec<Arc> = Vec::with_capacity(est);
+    let mut spans: Vec<u32> = Vec::with_capacity(roots.len() + 1);
+    spans.push(0);
+    for (r, root) in roots.iter().enumerate() {
+        match table_of(r) {
+            Some((table, pins)) => arcs.extend(table.iter().map(|ma| Arc {
+                from: pins[ma.from_pin as usize],
+                to: pins[ma.to_pin as usize],
+                rise_delay: ma.rise_delay,
+                fall_delay: ma.fall_delay,
+                rise_tau: ma.rise_tau,
+                fall_tau: ma.fall_tau,
+                inverting: ma.inverting,
+                kind: ma.kind,
+            })),
+            None => build_flat(root, &mut arcs),
+        }
+        spans.push(arcs.len() as u32);
+    }
+    (arcs, spans)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::DelayModel;
+    use crate::options::AnalysisOptions;
+    use crate::pipeline::PassManager;
     use tv_clocks::qualify::qualify_with_flow;
     use tv_flow::{analyze, RuleSet};
-    use tv_netlist::Tech;
+    use tv_netlist::{Design, Tech};
 
-    fn assert_hier_matches_flat(nl: &Netlist, case: PhaseCase) -> Extraction {
+    /// The flat reference: `build_root` over every root, in root order.
+    fn flat_graph(
+        nl: &Netlist,
+        flow: &FlowAnalysis,
+        qual: &[Qualification],
+        case: PhaseCase,
+    ) -> crate::graph::TimingGraph {
+        let builder = GraphBuilder {
+            netlist: nl,
+            flow,
+            qualification: qual,
+            case,
+            model: DelayModel::Elmore,
+        };
+        let mut arcs = Vec::new();
+        let mut scratch = BuildScratch::new(nl.node_count());
+        for root in &builder.roots() {
+            builder.build_root(root, 1.0, &mut arcs, &mut scratch);
+        }
+        finish_graph(nl.node_count(), arcs, case, Vec::new())
+    }
+
+    /// Requires the hierarchical build to match the flat reference bit
+    /// for bit in every case, and the pass pipeline to extract the same
+    /// partition at `--jobs` 1, 2 and 8. Returns each case's extraction.
+    fn assert_hier_matches_flat(nl: &Netlist, cases: &[PhaseCase]) -> Vec<Extraction> {
         let flow = analyze(nl, &RuleSet::all());
         let qual = qualify_with_flow(nl, &flow);
-        let flat =
-            TimingGraph::build_isolated(nl, &flow, &qual, case, DelayModel::Elmore, 1.0, 1, None);
-        let mut last = None;
-        for jobs in [1usize, 2, 8] {
-            let (sb, ex) = build_spanned(nl, &flow, &qual, case, DelayModel::Elmore, 1.0, jobs);
+        let summary = |ex: &Extraction| {
+            (
+                ex.fingerprint(),
+                ex.classes(),
+                ex.analyzed(),
+                ex.instanced(),
+            )
+        };
+        let mut out = Vec::new();
+        for &case in cases {
+            let flat = flat_graph(nl, &flow, &qual, case);
+            let (sb, ex) = build_spanned(nl, &flow, &qual, case, DelayModel::Elmore, 1.0);
             let ex = ex.expect("clean build must extract");
-            assert_eq!(sb.graph.arc_count(), flat.arc_count(), "jobs {jobs}");
+            assert_eq!(sb.graph.arc_count(), flat.arc_count());
             for (h, f) in sb.graph.arcs.iter().zip(flat.arcs.iter()) {
                 assert_eq!(h.from, f.from);
                 assert_eq!(h.to, f.to);
@@ -803,20 +699,35 @@ mod tests {
                 *sb.spans.as_ref().unwrap().last().unwrap() as usize,
                 sb.graph.arc_count()
             );
-            last = Some(ex);
+            out.push(ex);
         }
-        last.unwrap()
+        let design = Design::new(nl.clone());
+        for jobs in [1usize, 2, 8] {
+            let mut pm = PassManager::new();
+            let options = AnalysisOptions {
+                jobs,
+                ..AnalysisOptions::default()
+            };
+            pm.analyze(&design, &options);
+            for (case, ex) in cases.iter().zip(&out) {
+                let px = pm
+                    .extraction(case.active)
+                    .expect("the pipeline extracts every case");
+                assert_eq!(summary(px), summary(ex), "jobs {jobs} case {case:?}");
+            }
+        }
+        out
     }
 
     #[test]
     fn replicated_datapath_shares_and_stays_bit_identical() {
         let mc = tv_gen::mips_mc::t6_mips_mc(Tech::nmos4um(), 3);
-        for case in [
+        let cases = [
             PhaseCase::all_active(),
             PhaseCase::phase(0),
             PhaseCase::phase(1),
-        ] {
-            let ex = assert_hier_matches_flat(&mc.netlist, case);
+        ];
+        for ex in assert_hier_matches_flat(&mc.netlist, &cases) {
             assert!(
                 ex.instanced() >= 2 * ex.analyzed(),
                 "3 identical cores must dedup heavily: analyzed {} instanced {}",
@@ -834,15 +745,13 @@ mod tests {
             0x9aa7,
             tv_gen::random::RandomMix::default(),
         );
-        assert_hier_matches_flat(&c.netlist, PhaseCase::all_active());
+        assert_hier_matches_flat(&c.netlist, &[PhaseCase::all_active()]);
     }
 
     #[test]
     fn manchester_carry_chain_stays_bit_identical() {
         let c = tv_gen::manchester::manchester_circuit(Tech::nmos4um(), 16, 4);
-        for case in [PhaseCase::all_active(), PhaseCase::phase(0)] {
-            assert_hier_matches_flat(&c.netlist, case);
-        }
+        assert_hier_matches_flat(&c.netlist, &[PhaseCase::all_active(), PhaseCase::phase(0)]);
     }
 
     #[test]
@@ -857,7 +766,6 @@ mod tests {
             PhaseCase::all_active(),
             DelayModel::Elmore,
             1.0,
-            2,
         );
         let mut ex = ex.unwrap();
         let fp0 = ex.fingerprint();

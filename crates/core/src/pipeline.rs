@@ -238,7 +238,7 @@ struct GraphSlot {
     graph: TimingGraph,
     roots: Vec<(tv_netlist::NodeId, RootKind)>,
     /// Prefix offsets: root `k` owns arcs `spans[k]..spans[k + 1]`.
-    /// `None` when a build worker panicked — such a slot always
+    /// `None` when a stage build panicked — such a slot always
     /// rebuilds in full.
     spans: Option<Vec<u32>>,
     /// The extent index `(starts, roots)` from
@@ -487,7 +487,6 @@ impl PassManager {
             options,
             flow_fp,
             qual_fp,
-            jobs,
         );
         let comb_slot = self.graphs[0]
             .as_ref()
@@ -546,7 +545,6 @@ impl PassManager {
                     options,
                     flow_fp,
                     qual_fp,
-                    jobs,
                 );
                 let slot = self.graphs[1 + p as usize]
                     .as_ref()
@@ -703,7 +701,6 @@ fn graph_pass(
     options: &AnalysisOptions,
     flow_fp: u64,
     qual_fp: u64,
-    jobs: usize,
 ) -> CaseDelta {
     let _span = tv_obs::span("pass.graph");
     let pass = PassId::Graph(case.active);
@@ -859,8 +856,7 @@ fn graph_pass(
         };
     }
 
-    let (sb, extraction) =
-        build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE, jobs);
+    let (sb, extraction) = build_spanned(nl, flow, qual, case, options.model, SOURCE_RESISTANCE);
     *slot_opt = Some(GraphSlot {
         input_fp,
         shape_fp,
@@ -1194,7 +1190,6 @@ mod tests {
                     &opts,
                     flow.output_fp,
                     qual.output_fp,
-                    1,
                 );
                 let Some((since_fp, changed)) = delta.since else {
                     continue;

@@ -282,6 +282,35 @@ fn candidates(arc: &Arc, from: &Slot, slope: &SlopeModel) -> (f64, Edge, f64, Ed
     }
 }
 
+/// One relaxation step: offers `target` the candidates arc `ai` carries
+/// from `from`, taking each edge whose candidate is finite and later
+/// than the current arrival (with its output transition and
+/// predecessor). Returns whether either edge improved.
+#[inline]
+fn relax(target: &mut Slot, arc: &Arc, ai: u32, from: &Slot, slope: &SlopeModel) -> bool {
+    let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, from, slope);
+    let mut improved = false;
+    if cand_rise.is_finite() && cand_rise > target.rise {
+        target.rise = cand_rise;
+        target.trans_rise = slope.output_transition(arc.rise_tau);
+        target.pred_rise = Some(Pred {
+            arc: ai,
+            from_edge: rise_src,
+        });
+        improved = true;
+    }
+    if cand_fall.is_finite() && cand_fall > target.fall {
+        target.fall = cand_fall;
+        target.trans_fall = slope.output_transition(arc.fall_tau);
+        target.pred_fall = Some(Pred {
+            arc: ai,
+            from_edge: fall_src,
+        });
+        improved = true;
+    }
+    improved
+}
+
 /// Evaluates one leveled node: the max over its in-arcs in ascending
 /// arc-id order. Pure in the finished prefix, so the result does not
 /// depend on how the level was chunked across workers.
@@ -304,23 +333,7 @@ fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
     for &ai in ctx.graph.in_arcs_of_index(ni) {
         let arc = &ctx.graph.arcs[ai as usize];
         let from = &done[ctx.slot_of[arc.from.index()] as usize];
-        let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, from, ctx.slope);
-        if cand_rise.is_finite() && cand_rise > s.rise {
-            s.rise = cand_rise;
-            s.trans_rise = ctx.slope.output_transition(arc.rise_tau);
-            s.pred_rise = Some(Pred {
-                arc: ai,
-                from_edge: rise_src,
-            });
-        }
-        if cand_fall.is_finite() && cand_fall > s.fall {
-            s.fall = cand_fall;
-            s.trans_fall = ctx.slope.output_transition(arc.fall_tau);
-            s.pred_fall = Some(Pred {
-                arc: ai,
-                from_edge: fall_src,
-            });
-        }
+        relax(&mut s, arc, ai, from, ctx.slope);
         relaxed += 1;
     }
     (s, relaxed)
@@ -514,8 +527,9 @@ pub fn propagate_with(
     .0
 }
 
-/// Demand-driven cone engine: materializes a cached snapshot and
-/// re-relaxes only the `cone` nodes, given in level order.
+/// Demand-driven cone engine: re-relaxes only the `cone` nodes, given
+/// in level order, patching the cached snapshot `arr` in place; the
+/// result carries one clone of the patched snapshot.
 ///
 /// Preconditions (the caller — [`crate::incremental::IncrementalCache`]
 /// — enforces all three): the cone holds leveled nodes only and is
@@ -536,12 +550,12 @@ pub(crate) fn propagate_cone(
     endpoints: &[NodeId],
     slope: &SlopeModel,
     cone: &[u32],
-    cached: &Arrivals,
+    arr: &mut Arrivals,
     ws: &mut Workspace,
 ) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
     let n = graph.node_count();
-    debug_assert_eq!(cached.rise.len(), n);
+    debug_assert_eq!(arr.rise.len(), n);
 
     let is_source = &mut ws.is_source;
     is_source.clear();
@@ -550,11 +564,9 @@ pub(crate) fn propagate_cone(
         is_source[s.index()] = true;
     }
 
-    // Materialize the snapshot. Certified steps never change arc
-    // structure, so its predecessor arc ids are the current graph's;
-    // affected rows are overwritten below.
-    let mut arr = cached.clone();
-
+    // Certified steps never change arc structure, so the snapshot's
+    // predecessor arc ids are the current graph's; cone rows are
+    // overwritten below, every other row is already final.
     let mut cone_relax = 0u64;
     let mut flipped = false;
     for &nd in cone {
@@ -571,23 +583,7 @@ pub(crate) fn propagate_cone(
                 pred_rise: None,
                 pred_fall: None,
             };
-            let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, &from, slope);
-            if cand_rise.is_finite() && cand_rise > s.rise {
-                s.rise = cand_rise;
-                s.trans_rise = slope.output_transition(arc.rise_tau);
-                s.pred_rise = Some(Pred {
-                    arc: ai,
-                    from_edge: rise_src,
-                });
-            }
-            if cand_fall.is_finite() && cand_fall > s.fall {
-                s.fall = cand_fall;
-                s.trans_fall = slope.output_transition(arc.fall_tau);
-                s.pred_fall = Some(Pred {
-                    arc: ai,
-                    from_edge: fall_src,
-                });
-            }
+            relax(&mut s, arc, ai, &from, slope);
             cone_relax += 1;
         }
         flipped |= s.rise.is_finite() != arr.rise[ni].is_finite()
@@ -616,7 +612,7 @@ pub(crate) fn propagate_cone(
 
     let result = PhaseResult {
         case: graph.case,
-        arrivals: arr,
+        arrivals: arr.clone(),
         endpoints: eps,
         cyclic: false,
         // Charge-equivalent, not actual: `PhaseResult::relaxations`
@@ -875,27 +871,7 @@ pub(crate) fn propagate_full(
                 for &ai in graph.out_arcs_of_index(ni) {
                     let arc = &graph.arcs[ai as usize];
                     let to = arc.to.index();
-                    let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, &from, slope);
-                    let target = &mut slots[slot_of[to] as usize];
-                    let mut improved = false;
-                    if cand_rise.is_finite() && cand_rise > target.rise {
-                        target.rise = cand_rise;
-                        target.trans_rise = slope.output_transition(arc.rise_tau);
-                        target.pred_rise = Some(Pred {
-                            arc: ai,
-                            from_edge: rise_src,
-                        });
-                        improved = true;
-                    }
-                    if cand_fall.is_finite() && cand_fall > target.fall {
-                        target.fall = cand_fall;
-                        target.trans_fall = slope.output_transition(arc.fall_tau);
-                        target.pred_fall = Some(Pred {
-                            arc: ai,
-                            from_edge: fall_src,
-                        });
-                        improved = true;
-                    }
+                    let improved = relax(&mut slots[slot_of[to] as usize], arc, ai, &from, slope);
                     residue_relax += 1;
                     if improved {
                         enqueue(to, queue, queued);

@@ -42,7 +42,7 @@ pub enum Site {
     SimRead,
     /// A 64-line chunk boundary inside the recovering `.sim` parser.
     ParseChunk,
-    /// A graph-build worker, per stage root (forced panic).
+    /// Graph construction, per stage root (forced panic).
     GraphBuild,
     /// A levelized-propagation worker, per node evaluation (forced
     /// panic).

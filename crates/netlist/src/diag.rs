@@ -213,7 +213,10 @@ impl Diagnostic {
         if let Some(c) = self.col {
             s.push_str(&format!(",\"col\":{c}"));
         }
-        s.push_str(&format!(",\"message\":\"{}\"", json_escape(&self.message)));
+        s.push_str(&format!(
+            ",\"message\":\"{}\"",
+            tv_obs::json::escape(&self.message)
+        ));
         s.push('}');
         s
     }
@@ -223,23 +226,6 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.render_text(None))
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The accumulating sink every pipeline layer pushes into.
@@ -406,7 +392,7 @@ impl Diagnostics {
             self.suppressed
         ));
         if let Some(p) = path {
-            s.push_str(&format!(",\"path\":\"{}\"", json_escape(p)));
+            s.push_str(&format!(",\"path\":\"{}\"", tv_obs::json::escape(p)));
         }
         s.push('}');
         s

@@ -204,7 +204,7 @@ impl Session {
                 json: format!(
                     r#"{{"ok":false,"code":"{}","error":"{}"}}"#,
                     e.code,
-                    json_escape(&e.msg)
+                    tv_obs::json::escape(&e.msg)
                 ),
                 ok: false,
             },
@@ -328,7 +328,7 @@ impl Session {
         let d = self.design.as_ref().expect("just installed");
         Ok(format!(
             r#"{{"ok":true,"cmd":"load","path":"{}","nodes":{},"devices":{},"parse_errors":{},"revision":{}}}"#,
-            json_escape(path),
+            tv_obs::json::escape(path),
             d.netlist().node_count(),
             d.netlist().device_count(),
             errors,
@@ -528,7 +528,7 @@ impl Session {
                     }
                     steps.push_str(&format!(
                         r#"{{"node":"{}","edge":"{}","at":{}}}"#,
-                        json_escape(nl.node_name(s.node)),
+                        tv_obs::json::escape(nl.node_name(s.node)),
                         match s.edge {
                             tv_core::propagate::Edge::Rise => "rise",
                             tv_core::propagate::Edge::Fall => "fall",
@@ -538,8 +538,8 @@ impl Session {
                 }
                 Ok(format!(
                     r#"{{"ok":true,"cmd":"paths","from":"{}","to":"{}","arrival":{},"steps":[{}]}}"#,
-                    json_escape(from),
-                    json_escape(to),
+                    tv_obs::json::escape(from),
+                    tv_obs::json::escape(to),
                     json_f64(path.arrival()),
                     steps
                 ))
@@ -686,22 +686,6 @@ fn json_opt_f64(v: Option<f64>) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Runs a whole session: reads commands from `input` line by line,
 /// writes one JSON reply line per command to `out`, stops at `quit` or
 /// end of input. Returns the session exit code: 0 when every command
@@ -750,7 +734,7 @@ pub fn run_session_with<R: BufRead, W: Write>(
                     out,
                     r#"{{"ok":false,"cmd":"resume","code":"{}","error":"{}"}}"#,
                     code,
-                    json_escape(&e.to_string())
+                    tv_obs::json::escape(&e.to_string())
                 )?;
                 return Ok(1);
             }
@@ -783,7 +767,7 @@ pub fn run_session_with<R: BufRead, W: Write>(
                     r#"{{"ok":false,"cmd":"resume","code":"{}","error":"replay diverged at entry {} ({})"}}"#,
                     codes::JOURNAL_DIVERGED,
                     i + 1,
-                    json_escape(&entry.command)
+                    tv_obs::json::escape(&entry.command)
                 )?;
                 return Ok(1);
             }

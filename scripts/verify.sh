@@ -125,6 +125,10 @@ echo "== chaos smoke: tv chaos --seeds 64 vs golden =="
 # sweep's own exit code.
 cargo run --release --offline --bin tv -- chaos --seeds 64 \
   | diff -u tests/data/chaos_smoke.golden -
+# The same tally with parallel propagation workers: every fault plan's
+# outcome is independent of --jobs.
+cargo run --release --offline --bin tv -- chaos --seeds 64 --jobs 2 \
+  | diff -u tests/data/chaos_smoke.golden -
 
 echo "== fault fuzz smoke: tv fuzz --faults =="
 # Randomized session scripts under seeded fault plans: every triggered

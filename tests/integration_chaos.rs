@@ -14,8 +14,10 @@ use std::process::{Command, Stdio};
 use std::sync::{Mutex, MutexGuard};
 
 use nmos_tv::chaos::run_chaos;
-use nmos_tv::core::AnalysisOptions;
+use nmos_tv::core::{report_fingerprint, AnalysisOptions, PassManager};
 use nmos_tv::fault::{FaultPlan, Site};
+use nmos_tv::gen::datapath::{datapath, DatapathConfig};
+use nmos_tv::netlist::{Design, Tech};
 
 fn plane_lock() -> MutexGuard<'static, ()> {
     static M: Mutex<()> = Mutex::new(());
@@ -65,8 +67,8 @@ fn chaos_sweep_is_deterministic() {
 }
 
 /// The sweep's recovery paths hold at a parallel jobs setting too (the
-/// worker-panic sites degrade chunked scoped threads, not just the
-/// serial fast path).
+/// propagation worker-panic site degrades chunked scoped threads, not
+/// just the serial fast path).
 #[test]
 fn chaos_sweep_is_clean_with_parallel_workers() {
     let _g = plane_lock();
@@ -76,6 +78,32 @@ fn chaos_sweep_is_clean_with_parallel_workers() {
     };
     let report = run_chaos(12, &options).expect("sweep runs");
     assert!(report.is_clean(), "{report}");
+}
+
+/// A graph-build panic mid-extraction degrades the build to the flat
+/// per-stage-isolated pass: the report is bit-identical to a clean run,
+/// and the degraded slot keeps no extraction partition.
+#[test]
+fn graph_build_fault_degrades_to_the_flat_pass_bit_identically() {
+    let _g = plane_lock();
+    let dp = datapath(Tech::nmos4um(), DatapathConfig::mips32());
+    let design = Design::new(dp.netlist);
+    let options = AnalysisOptions::default();
+    let mut clean = PassManager::new();
+    let expect = report_fingerprint(design.netlist(), &clean.analyze(&design, &options));
+    assert!(clean.extraction(None).is_some());
+
+    let mut pm = PassManager::new();
+    nmos_tv::fault::arm(FaultPlan {
+        site: Site::GraphBuild,
+        after: 1,
+    });
+    let report = pm.analyze(&design, &options);
+    let fired = nmos_tv::fault::fired();
+    nmos_tv::fault::disarm();
+    assert!(fired, "the graph_build plan never fired");
+    assert_eq!(report_fingerprint(design.netlist(), &report), expect);
+    assert!(pm.extraction(None).is_none());
 }
 
 /// `tv fuzz --faults` — random session scripts under seeded plans obey
