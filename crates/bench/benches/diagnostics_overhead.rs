@@ -10,7 +10,7 @@
 
 use tv_bench::harness::bench;
 use tv_clocks::qualify::qualify_with_flow;
-use tv_core::{propagate_with, SOURCE_RESISTANCE};
+use tv_core::{propagate, SOURCE_RESISTANCE};
 use tv_core::{DelayModel, PhaseCase, TimingGraph};
 use tv_flow::{analyze, RuleSet};
 use tv_gen::random::{random_logic, RandomMix};
@@ -69,7 +69,7 @@ fn main() {
     let slope = SlopeModel::calibrated();
 
     bench("propagate (clean input)", 30, || {
-        let r = propagate_with(&nl, &graph, &sources, &endpoints, &slope, 1);
+        let r = propagate(&nl, &graph, &sources, &endpoints, &slope);
         assert!(
             r.diagnostics.is_empty(),
             "clean run allocates no diagnostics"

@@ -1,5 +1,5 @@
 //! Machine-readable perf trajectory: a fixed smoke suite over the
-//! acceptance benchmarks (analyzer scaling, flow resolution, parallel
+//! acceptance benchmarks (analyzer scaling, flow resolution, serial
 //! propagation, and the P4 session suite), appended as a labeled run to
 //! `BENCH_TRAJECTORY.json` so CI and future PRs can compare against a
 //! committed baseline instead of eyeballing tables — and so the history
@@ -14,7 +14,9 @@
 //!                                               # vs the *latest* run
 //!   perf_trajectory --check BENCH_TRAJECTORY.json --threshold 3.0
 //!
-//! Each bench entry carries `name`, `input_size` (devices), `ns_per_op`
+//! Each run is stamped with the host it ran on (`nproc`, CPU model);
+//! runs appended before the stamp existed read back without one. Each
+//! bench entry carries `name`, `input_size` (devices), `ns_per_op`
 //! (median), `min_ns` (fastest iteration), and `counters` — the
 //! deterministic `tv_obs` work counters from **one instrumented run**
 //! performed after the timed loop, so the timing numbers are always
@@ -25,7 +27,7 @@
 
 use std::process::ExitCode;
 
-use tv_bench::experiments::parallel_scaling;
+use tv_bench::experiments::serial_engine_ms;
 use tv_bench::harness::bench;
 use tv_core::{AnalysisOptions, Analyzer};
 use tv_flow::RuleSet;
@@ -76,7 +78,41 @@ fn peak_rss_kb() -> u64 {
 /// One labeled suite execution: the unit the trajectory file appends.
 struct Run {
     label: String,
+    /// `None` for runs appended before runs were host-stamped.
+    host: Option<Host>,
     benches: Vec<Entry>,
+}
+
+/// The machine a run was measured on.
+struct Host {
+    nproc: usize,
+    cpu_model: String,
+}
+
+impl Host {
+    /// This machine: its available parallelism and the first `model
+    /// name` line of `/proc/cpuinfo` ("unknown" where procfs is missing).
+    fn current() -> Host {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .and_then(|rest| rest.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model,
+        }
+    }
+
+    fn describe(host: Option<&Host>) -> String {
+        host.map_or("not recorded".to_string(), |h| {
+            format!("nproc {}, {}", h.nproc, h.cpu_model)
+        })
+    }
 }
 
 /// The deterministic counters worth recording per bench entry: the work
@@ -85,7 +121,7 @@ struct Run {
 /// plus the flow fixpoint and graph-size telemetry, which are equally
 /// deterministic for a fixed input. Timing-plane spans never appear
 /// here.
-const KEPT_COUNTERS: [Counter; 23] = [
+const KEPT_COUNTERS: [Counter; 22] = [
     Counter::PropagateRelaxations,
     Counter::PropagateResiduePops,
     Counter::PropagateNodes,
@@ -96,7 +132,6 @@ const KEPT_COUNTERS: [Counter; 23] = [
     Counter::FlowSweeps,
     Counter::FlowWorklistPops,
     Counter::GraphArcs,
-    Counter::IngestChunks,
     Counter::IngestBytes,
     Counter::IngestPrescanSyms,
     Counter::IngestReallocs,
@@ -175,20 +210,19 @@ fn run_suite(at_scale: bool) -> Vec<Entry> {
         });
     }
 
-    // Serial graph build + propagation on the MIPS-class datapath (the
-    // P1 bench at jobs=1: the single-thread cost the parallel speedups
-    // are measured against). The timed figure comes from the scaling
-    // harness; the counters from one instrumented single-thread analyze
-    // of the same netlist.
+    // Serial graph build + propagation of the three analysis cases on
+    // the MIPS-class datapath, best of 5 (the entry keeps its historic
+    // name). The counters come from one instrumented analyze of the
+    // same netlist.
     let cfg = DatapathConfig::mips32();
     let dp_netlist = tv_gen::datapath::datapath(tech.clone(), cfg).netlist;
     let devices = dp_netlist.device_count();
-    let rows = parallel_scaling(&tech, cfg, &[1], 5);
+    let engine_ms = serial_engine_ms(&tech, cfg, 5);
     out.push(Entry {
         name: "propagate/mips32-jobs1".to_string(),
         input_size: devices,
-        ns_per_op: rows[0].total_ms() * 1e6,
-        min_ns: rows[0].total_ms() * 1e6,
+        ns_per_op: engine_ms * 1e6,
+        min_ns: engine_ms * 1e6,
         iters: 5,
         peak_rss_kb: peak_rss_kb(),
         counters: counted(|| {
@@ -322,7 +356,7 @@ fn serve_suite(tech: &Tech) -> Vec<Entry> {
 fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     use tv_clocks::latch::find_latches;
     use tv_clocks::qualify::qualify_with_flow;
-    use tv_core::{external_sources, propagate_with, PhaseCase, TimingGraph, SOURCE_RESISTANCE};
+    use tv_core::{external_sources, propagate, PhaseCase, TimingGraph, SOURCE_RESISTANCE};
     use tv_gen::mips_mc::{t6_mips_mc, MILLION_DEVICE_CORES};
     use tv_netlist::{sim_format, Diagnostics};
 
@@ -391,8 +425,7 @@ fn ingest_suite(tech: &Tech, at_scale: bool) -> Vec<Entry> {
     let graph = TimingGraph::build(nl, &flow, &qual, case, opts.model, SOURCE_RESISTANCE);
     let sources = external_sources(nl);
     let endpoints = nl.outputs().to_vec();
-    let mut prop_work =
-        || propagate_with(nl, &graph, &sources, &endpoints, &opts.slope, 1).relaxations;
+    let mut prop_work = || propagate(nl, &graph, &sources, &endpoints, &opts.slope).relaxations;
     let s = bench("ingest/t6-1m-propagate", 1, &mut prop_work);
     out.push(entry(s, devices, counted(&mut prop_work)));
 
@@ -577,6 +610,13 @@ fn write_json(runs: &[Run]) -> String {
     for (r, run) in runs.iter().enumerate() {
         s.push_str("    {\n");
         s.push_str(&format!("      \"label\": \"{}\",\n", run.label));
+        if let Some(h) = &run.host {
+            s.push_str(&format!(
+                "      \"host\": {{ \"nproc\": {}, \"cpu_model\": \"{}\" }},\n",
+                h.nproc,
+                tv_obs::json::escape(&h.cpu_model)
+            ));
+        }
         s.push_str("      \"benches\": [\n");
         for (i, e) in run.benches.iter().enumerate() {
             let counters = if e.counters.is_empty() {
@@ -630,13 +670,24 @@ fn load_runs(text: &str) -> Result<Vec<Run>, String> {
                     .and_then(Value::as_str)
                     .ok_or("run without a string \"label\"")?
                     .to_string();
+                let host = r.get("host").and_then(|h| {
+                    Some(Host {
+                        nproc: h.get("nproc")?.as_num()? as usize,
+                        cpu_model: h.get("cpu_model")?.as_str()?.to_string(),
+                    })
+                });
                 let benches = runs_of(r.get("benches").ok_or("run without \"benches\"")?)?;
-                Ok(Run { label, benches })
+                Ok(Run {
+                    label,
+                    host,
+                    benches,
+                })
             })
             .collect()
     } else if let Some(benches) = root.get("benches") {
         Ok(vec![Run {
             label: "pre-trajectory".to_string(),
+            host: None,
             benches: runs_of(benches)?,
         }])
     } else {
@@ -657,12 +708,19 @@ fn load_entry(v: &Value) -> Result<Entry, String> {
             .ok_or(format!("bench without numeric \"{k}\""))
     };
     // Keep counters in registry order so a re-rendered file diffs
-    // cleanly against a freshly written one.
+    // cleanly against a freshly written one. Counters since retired from
+    // the registry are history too: they follow, by name.
     let mut counters = Vec::new();
     if let Some(Value::Obj(map)) = v.get("counters") {
         for c in tv_obs::counters::ALL {
             if let Some(x) = map.get(c.name()).and_then(Value::as_num) {
                 counters.push((c.name().to_string(), x as u64));
+            }
+        }
+        for (name, x) in map {
+            let retired = tv_obs::counters::ALL.iter().all(|c| c.name() != name);
+            if let (true, Some(x)) = (retired, x.as_num()) {
+                counters.push((name.clone(), x as u64));
             }
         }
     }
@@ -698,6 +756,11 @@ fn check(entries: &[Entry], baseline_path: &str, threshold: f64) -> ExitCode {
         eprintln!("perf_trajectory: no runs found in {baseline_path}");
         return ExitCode::FAILURE;
     };
+    println!(
+        "baseline host: {}\ncurrent host:  {}",
+        Host::describe(baseline.host.as_ref()),
+        Host::describe(Some(&Host::current()))
+    );
     println!(
         "\n{:<28} {:>14} {:>14} {:>8}  vs {}x gate (baseline run \"{}\")",
         "bench", "baseline ns", "current min", "ratio", threshold, baseline.label
@@ -993,6 +1056,7 @@ fn main() -> ExitCode {
         };
         runs.push(Run {
             label: label.unwrap_or_else(|| "dev".to_string()),
+            host: Some(Host::current()),
             benches: entries,
         });
         let json = write_json(&runs);

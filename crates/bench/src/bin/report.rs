@@ -1,6 +1,6 @@
 //! Regenerates every table and figure of `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run --release -p tv-bench --bin report [t1|t2|t3|t4|t5|t6|f1|f2|f3|a1|a2|a3|p1|all]`
+//! Usage: `cargo run --release -p tv-bench --bin report [t1|t2|t3|t4|t5|t6|f1|f2|f3|a1|a2|a3|all]`
 //!
 //! With no argument, prints everything (`all`). Simulation-backed columns
 //! (T1, F1, F2, A1) take a few seconds each in release mode.
@@ -48,30 +48,6 @@ fn main() {
     }
     if all || which == "t6" {
         print_t6();
-    }
-    if all || which == "p1" {
-        print_p1(&tech);
-    }
-}
-
-fn print_p1(tech: &Tech) {
-    println!("\n== P1: parallel scaling of the levelized engine ==");
-    let rows = experiments::parallel_scaling(tech, DatapathConfig::mips32(), &[1, 2, 4, 8], 7);
-    let base = rows[0].clone();
-    println!(
-        "{:>5} {:>12} {:>14} {:>12} {:>9} {:>9}",
-        "jobs", "build (ms)", "propagate (ms)", "total (ms)", "wall", "modeled"
-    );
-    for row in &rows {
-        println!(
-            "{:>5} {:>12.3} {:>14.3} {:>12.3} {:>8.2}x {:>8.2}x",
-            row.jobs,
-            row.build_ms,
-            row.propagate_ms,
-            row.total_ms(),
-            row.speedup_over(&base),
-            row.modeled_speedup,
-        );
     }
 }
 

@@ -139,11 +139,7 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Runs flow analysis, clock recovery, per-phase timing, path
-    /// extraction, and electrical checks.
-    ///
-    /// With [`AnalysisOptions::jobs`] above one, graph construction and
-    /// the levelized propagation fan out across threads (bit-identical
-    /// results).
+    /// extraction, and electrical checks, serially.
     pub fn run(&self, options: &AnalysisOptions) -> TimingReport {
         self.run_once(options, false)
             .expect("size limits are only enforced by try_run")
@@ -179,7 +175,7 @@ impl<'a> Analyzer<'a> {
 /// Sources for phase `p`: primary inputs, this phase's clocks, and the
 /// storage nodes written during the *other* phase (stable now).
 ///
-/// Public so harnesses (the bench crate's `parallel_scaling` experiment)
+/// Public so harnesses (the bench crate's `serial_engine_ms` experiment)
 /// can drive the propagation engine with exactly the analyzer's case
 /// setup.
 pub fn phase_sources(nl: &Netlist, latches: &[Latch], phase: u8) -> Vec<NodeId> {

@@ -189,7 +189,7 @@ pub struct TimingGraph {
     /// Arc indices grouped by target node (see
     /// [`TimingGraph::in_starts`]).
     pub in_arc_ids: Vec<u32>,
-    /// Level schedule for the parallel propagation engine.
+    /// Level schedule for the levelized propagation engine.
     pub schedule: LevelSchedule,
     /// Diagnostics recorded during construction: stages whose build
     /// panicked are omitted from the arc set and reported here. Empty —
@@ -226,9 +226,8 @@ impl TimingGraph {
         .graph
     }
 
-    /// [`TimingGraph::build`], kept for callers that pass a worker
-    /// count: the build is serial, so `jobs` no longer changes it —
-    /// `--jobs` parallelizes propagation only.
+    /// [`TimingGraph::build`] with a `jobs` argument that is accepted,
+    /// no effect — the engine is serial.
     #[allow(clippy::too_many_arguments)]
     pub fn build_par(
         netlist: &Netlist,

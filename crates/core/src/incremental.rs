@@ -150,7 +150,6 @@ impl IncrementalCache {
         sources: &[NodeId],
         endpoints: &[NodeId],
         slope: &SlopeModel,
-        jobs: usize,
         guards: Guards,
         delta: &CaseDelta,
     ) -> PhaseResult {
@@ -194,11 +193,9 @@ impl IncrementalCache {
             let in_residue = entry.residue.as_ref().map(|r| r.in_residue.as_slice());
             let cone = leveled_cone(graph, seeds, in_residue);
             // The cone engine wins while the affected cone is a minority
-            // of the graph; past half the nodes the chunkable full walk
-            // is at least as good, and an armed deadline always needs the
-            // walk's level-boundary checks. Both cut-offs depend only on
-            // the certified edit, never on `jobs` — the work counters
-            // stay schedule-independent.
+            // of the graph; past half the nodes the full walk is at least
+            // as good, and an armed deadline always needs the walk's
+            // level-boundary checks.
             if guards.deadline.is_none() && cone.len() * 2 <= n {
                 tv_obs::add(tv_obs::Counter::ConeSeeds, seeds.len() as u64);
                 // Patches the snapshot in place. A flip under a diverged
@@ -244,7 +241,7 @@ impl IncrementalCache {
         }
 
         let (result, diverged) = propagate_full(
-            netlist, graph, sources, endpoints, slope, jobs, guards, workspace, None,
+            netlist, graph, sources, endpoints, slope, guards, workspace, None,
         );
         let residue = diverged.then(|| {
             let mut in_residue = vec![false; n];
@@ -475,11 +472,11 @@ mod tests {
         let mut cache = IncrementalCache::default();
         let (g0, src0, eps0) = graph_and_sources(before);
         cache.begin_run(&slope);
-        cache.propagate_case(before, &g0, &src0, &eps0, &slope, 1, guards, &full(1));
+        cache.propagate_case(before, &g0, &src0, &eps0, &slope, guards, &full(1));
         let (g, src, eps) = graph_and_sources(nl);
         let delta = delta(&g0, &g);
         cache.begin_run(&slope);
-        let warm = cache.propagate_case(nl, &g, &src, &eps, &slope, 1, guards, &delta);
+        let warm = cache.propagate_case(nl, &g, &src, &eps, &slope, guards, &delta);
         let cold = crate::propagate::propagate(nl, &g, &src, &eps, &slope);
         (warm, cache.last_stats()[0], cold)
     }
@@ -507,7 +504,7 @@ mod tests {
         let mut cache = IncrementalCache::default();
         let guards = Guards::default();
         cache.begin_run(&slope);
-        let cold = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &full(7));
+        let cold = cache.propagate_case(&nl, &g, &src, &eps, &slope, guards, &full(7));
         for (prev, fp) in [(7, 8), (8, 9)] {
             let step = CaseDelta {
                 graph_fp: fp,
@@ -515,7 +512,7 @@ mod tests {
                 flips: false,
             };
             cache.begin_run(&slope);
-            let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &step);
+            let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, guards, &step);
             assert_eq!(cache.last_stats()[0].recomputed, 0);
             assert_bit_identical(&nl, &cold, &warm);
         }
@@ -549,12 +546,12 @@ mod tests {
         let guards = Guards::default();
         let slope = SlopeModel::calibrated();
         cache.begin_run(&slope);
-        cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &full(1));
+        cache.propagate_case(&nl, &g, &src, &eps, &slope, guards, &full(1));
         // Same graph fingerprint, different slope handling: every cached
         // arrival is invalid.
         let off = SlopeModel::disabled();
         cache.begin_run(&off);
-        cache.propagate_case(&nl, &g, &src, &eps, &off, 1, guards, &full(1));
+        cache.propagate_case(&nl, &g, &src, &eps, &off, guards, &full(1));
         assert_eq!(cache.last_stats()[0].recomputed, nl.node_count());
     }
 
@@ -735,7 +732,7 @@ mod tests {
         let guards = Guards::default();
         let prime = |cache: &mut IncrementalCache, sources: &[NodeId]| {
             cache.begin_run(&slope);
-            cache.propagate_case(&nl, &g, sources, &eps, &slope, 1, guards, &full(1));
+            cache.propagate_case(&nl, &g, sources, &eps, &slope, guards, &full(1));
         };
         // A certificate whose splice flipped an arc's finiteness may
         // move a diverged residue's verdict: full walk.
@@ -747,7 +744,7 @@ mod tests {
             flips: true,
         };
         cache.begin_run(&slope);
-        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &flipped);
+        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, guards, &flipped);
         assert_eq!(cache.last_stats()[0].engine, CaseEngine::Full);
         assert_eq!(cache.last_stats()[0].recomputed, nl.node_count());
         let cold = crate::propagate::propagate(&nl, &g, &src, &eps, &slope);
@@ -766,7 +763,7 @@ mod tests {
             flips: false,
         };
         cache.begin_run(&slope);
-        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, 1, guards, &step);
+        let warm = cache.propagate_case(&nl, &g, &src, &eps, &slope, guards, &step);
         assert_eq!(cache.last_stats()[0].engine, CaseEngine::Full);
         assert_same_verdict(&nl, &cold, &warm);
     }
@@ -824,7 +821,7 @@ mod tests {
         let mut cache = IncrementalCache::default();
         let (g0, latches, src, eps) = phase_graph(&before);
         cache.begin_run(&slope);
-        cache.propagate_case(&before, &g0, &src, &eps, &slope, 1, guards, &full(1));
+        cache.propagate_case(&before, &g0, &src, &eps, &slope, guards, &full(1));
         let cold0 = cache.race_case(&before, &g0, &latches, 0);
         assert_eq!(cold0.len(), 1);
         let buffer = |c: &IncrementalCache| {
@@ -846,7 +843,6 @@ mod tests {
             &src,
             &eps,
             &slope,
-            1,
             guards,
             &certify(1, 2, &g0, &g),
         );

@@ -79,5 +79,5 @@ pub use optimize::{buffer_long_pass_runs, BufferInsertion};
 pub use options::{AnalysisOptions, DelayModel};
 pub use paths::{PathStep, TimingPath};
 pub use pipeline::{PassEvent, PassId, PassManager, PassOutcome, PASS_TABLE};
-pub use propagate::{propagate, propagate_with, Arrivals, Completion, PhaseResult, PAR_MIN_WIDTH};
+pub use propagate::{propagate, propagate_with, Arrivals, Completion, PhaseResult};
 pub use tv_netlist::{codes, Diagnostic, Diagnostics, Severity};

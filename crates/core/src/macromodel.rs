@@ -319,7 +319,7 @@ fn root_key(stage_hashes: &[u64], flow: &FlowAnalysis, root: &(NodeId, RootKind)
 /// The hierarchical graph build, and the only one: groups the root set
 /// into equivalence classes, analyzes one master per class, instances
 /// the rest, and finishes a graph whose arc list is bit-identical to a
-/// flat per-root build. Serial — `--jobs` parallelizes propagation only.
+/// flat per-root build. Serial, like the rest of the engine.
 /// Returns the per-root arc spans (for splicing) and the [`Extraction`]
 /// partition (for de-sharing).
 ///

@@ -39,9 +39,8 @@ pub struct AnalysisOptions {
     /// Waveform-slope handling ([`SlopeModel::calibrated`] by default;
     /// [`SlopeModel::disabled`] for pure step-response analysis).
     pub slope: SlopeModel,
-    /// Worker threads for graph construction and levelized propagation.
-    /// `1` (the default) runs fully serial; `0` means "use every
-    /// available core". Results are bit-identical at any setting.
+    /// Accepted, no effect — the engine is serial. Kept so callers that
+    /// set it (and `--jobs N`) keep compiling and replaying unchanged.
     pub jobs: usize,
     /// Overrides the cyclic-residue relaxation budget (default
     /// `64 × (arcs + nodes)`). Exhaustion returns *partial* results with
@@ -58,20 +57,6 @@ pub struct AnalysisOptions {
     /// Refuse (with [`crate::TvError::TooLarge`], via
     /// [`crate::Analyzer::try_run`]) timing graphs above this arc count.
     pub max_arcs: Option<usize>,
-}
-
-impl AnalysisOptions {
-    /// Resolves the `jobs` knob: `0` expands to the machine's available
-    /// parallelism.
-    pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        }
-    }
 }
 
 impl Default for AnalysisOptions {
@@ -105,25 +90,11 @@ mod tests {
         assert!(o.case_analysis);
         assert_eq!(o.top_k, 10);
         assert!(o.clock.cycle() > 0.0);
-        assert_eq!(o.jobs, 1, "serial by default");
+        assert_eq!(o.jobs, 1);
         assert!(o.relax_budget.is_none());
         assert!(o.deadline.is_none());
         assert!(o.max_nodes.is_none());
         assert!(o.max_arcs.is_none());
-    }
-
-    #[test]
-    fn effective_jobs_expands_zero_to_machine_width() {
-        let o = AnalysisOptions {
-            jobs: 0,
-            ..AnalysisOptions::default()
-        };
-        assert!(o.effective_jobs() >= 1);
-        let o4 = AnalysisOptions {
-            jobs: 4,
-            ..AnalysisOptions::default()
-        };
-        assert_eq!(o4.effective_jobs(), 4);
     }
 
     #[test]

@@ -384,7 +384,6 @@ impl PassManager {
                 }
             }
         }
-        let jobs = options.effective_jobs();
         let guards = Guards {
             relax_budget: options.relax_budget,
             deadline: options.deadline.map(|d| Instant::now() + d),
@@ -514,7 +513,6 @@ impl PassManager {
                 &comb_sources,
                 &comb_endpoints,
                 &options.slope,
-                jobs,
                 guards,
                 &comb_delta,
             )
@@ -560,7 +558,6 @@ impl PassManager {
                         &sources,
                         &endpoints,
                         &options.slope,
-                        jobs,
                         guards,
                         &delta,
                     )

@@ -9,11 +9,9 @@
 //!    level; all its in-arcs come from strictly earlier levels. Each
 //!    level is computed *pull*-style: a node's worst rise/fall arrival is
 //!    the maximum over its in-arcs, evaluated in ascending arc-id order.
-//!    Because the computation of one node reads only finished earlier
-//!    levels and writes only its own entry, a level can be fanned out
-//!    across [`std::thread::scope`] workers in disjoint chunks — and
-//!    because per-node evaluation order is fixed by arc id, the result is
-//!    **bit-identical** to the serial walk at any thread count.
+//!    The computation of one node reads only finished earlier levels and
+//!    writes only its own entry, so a panic is contained to its level:
+//!    the level reruns with per-node isolation (the degraded pass).
 //! 2. **Residue.** Nodes on or downstream of a combinational cycle never
 //!    level; they are finished by the original budgeted worklist
 //!    relaxation (seeded from the already-final leveled frontier), which
@@ -178,7 +176,7 @@ pub struct PhaseResult {
     /// and any node whose evaluation panicked. Sorted by node id.
     pub unresolved: Vec<NodeId>,
     /// Engine diagnostics: guard exhaustion and degraded (panicked)
-    /// workers. Empty — and unallocated — on a clean run.
+    /// levels. Empty — and unallocated — on a clean run.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -196,7 +194,7 @@ impl PhaseResult {
 }
 
 /// Per-node propagation state, kept in level (slot) order during the
-/// walk so each level is one contiguous, chunkable slice.
+/// walk so each level is one contiguous slice.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     rise: f64,
@@ -252,7 +250,7 @@ struct Ctx<'a> {
     slot_of: &'a [u32],
     is_source: &'a [bool],
     /// Fault-injection hook (tests only); called before each evaluation.
-    fault: Option<&'a (dyn Fn(u32) + Sync)>,
+    fault: Option<&'a dyn Fn(u32)>,
 }
 
 /// Candidate `(rise arrival, rise trigger, fall arrival, fall trigger)`
@@ -312,13 +310,13 @@ fn relax(target: &mut Slot, arc: &Arc, ai: u32, from: &Slot, slope: &SlopeModel)
 }
 
 /// Evaluates one leveled node: the max over its in-arcs in ascending
-/// arc-id order. Pure in the finished prefix, so the result does not
-/// depend on how the level was chunked across workers.
+/// arc-id order. Pure in the finished prefix, so the degraded pass
+/// reproduces every value a clean evaluation would have produced.
 fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
     if let Some(hook) = ctx.fault {
         hook(node);
     }
-    // Fault plane: a forced worker panic, caught by the same isolation
+    // Fault plane: a forced panic, caught by the same isolation
     // that contains a genuine one (every caller is under catch_unwind).
     if tv_fault::fault_point!(tv_fault::Site::PropagateWorker) {
         tv_obs::incr(tv_obs::Counter::FaultInjected);
@@ -470,11 +468,6 @@ fn residue_diverges(
     peeled < total
 }
 
-/// Minimum level width before fanning a level out across threads;
-/// narrower levels are cheaper to finish inline than to dispatch.
-/// Public so the bench crate's work-span model mirrors the engine.
-pub const PAR_MIN_WIDTH: usize = 128;
-
 /// Propagates worst-case arrivals from `sources` (arrival 0 on both
 /// edges, step transitions) through the graph, serially. `endpoints`
 /// selects which nodes are reported as capture points.
@@ -483,20 +476,6 @@ pub const PAR_MIN_WIDTH: usize = 128;
 /// `k_slope × input_transition`, and the output transition is
 /// `k_transition × τ` of the arc's RC constant. Pass
 /// [`SlopeModel::disabled`] for pure step-response analysis.
-pub fn propagate(
-    netlist: &Netlist,
-    graph: &TimingGraph,
-    sources: &[NodeId],
-    endpoints: &[NodeId],
-    slope: &SlopeModel,
-) -> PhaseResult {
-    propagate_with(netlist, graph, sources, endpoints, slope, 1)
-}
-
-/// [`propagate`] with up to `jobs` worker threads per level. The module
-/// docs explain why arrivals, transitions, and predecessors are
-/// bit-identical at every thread count; `jobs == 1` (or narrow levels)
-/// runs inline with no thread startup at all.
 ///
 /// Cyclic structures (the schedule's residue) are first screened for
 /// divergence: if a finite arrival reaches a positive-delay cycle of
@@ -505,13 +484,12 @@ pub fn propagate(
 /// its seed values. A converging residue is finished by a worklist
 /// relaxation with a budget of `64 × (arcs + nodes)` as a backstop;
 /// budget exhaustion also reports [`PhaseResult::cyclic`].
-pub fn propagate_with(
+pub fn propagate(
     netlist: &Netlist,
     graph: &TimingGraph,
     sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
-    jobs: usize,
 ) -> PhaseResult {
     propagate_full(
         netlist,
@@ -519,12 +497,24 @@ pub fn propagate_with(
         sources,
         endpoints,
         slope,
-        jobs,
         Guards::default(),
         &mut Workspace::new(),
         None,
     )
     .0
+}
+
+/// [`propagate`] with a `jobs` argument that is accepted, no effect —
+/// the engine is serial.
+pub fn propagate_with(
+    netlist: &Netlist,
+    graph: &TimingGraph,
+    sources: &[NodeId],
+    endpoints: &[NodeId],
+    slope: &SlopeModel,
+    _jobs: usize,
+) -> PhaseResult {
+    propagate(netlist, graph, sources, endpoints, slope)
 }
 
 /// Demand-driven cone engine: re-relaxes only the `cone` nodes, given
@@ -636,7 +626,7 @@ pub(crate) fn propagate_cone(
 /// computed, with [`PhaseResult::completion`] and
 /// [`PhaseResult::unresolved`] describing what is missing. `fault` is
 /// called with each node index before evaluation; tests use a panicking
-/// hook to exercise worker isolation, production callers pass `None`.
+/// hook to exercise level isolation, production callers pass `None`.
 ///
 /// The returned flag says the residue screen diverged on a walk with
 /// no panicked node: the residue rows then sit at their seed values, a
@@ -648,10 +638,9 @@ pub(crate) fn propagate_full(
     sources: &[NodeId],
     endpoints: &[NodeId],
     slope: &SlopeModel,
-    jobs: usize,
     guards: Guards,
     ws: &mut Workspace,
-    fault: Option<&(dyn Fn(u32) + Sync)>,
+    fault: Option<&dyn Fn(u32)>,
 ) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
     let n = netlist.node_count();
@@ -717,64 +706,20 @@ pub(crate) fn propagate_full(
         let targets = &sched.order[lo..hi];
         let (done, rest) = slots.split_at_mut(lo);
         let level_out = &mut rest[..width];
-        let threads = if jobs <= 1 || width < PAR_MIN_WIDTH {
-            1
-        } else {
-            jobs.min(width)
-        };
-        // First attempt: the fast path, whole level serially or chunked
-        // across scoped workers. Any panic is contained to its chunk and
-        // reported as `Err`, leaving the level to the degraded pass below.
-        let attempt: Result<usize, ()> = if threads <= 1 {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut relaxed = 0usize;
-                for (out, &t) in level_out.iter_mut().zip(targets) {
-                    let (s, r) = compute_node(ctx, done, t);
-                    *out = s;
-                    relaxed += r as usize;
-                }
-                relaxed
-            }))
-            .map_err(|_| ())
-        } else {
-            let chunk = width.div_ceil(threads);
-            let done = &*done;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = level_out
-                    .chunks_mut(chunk)
-                    .zip(targets.chunks(chunk))
-                    .map(|(out_chunk, t_chunk)| {
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(move || {
-                                let mut relaxed = 0usize;
-                                for (out, &t) in out_chunk.iter_mut().zip(t_chunk) {
-                                    let (s, r) = compute_node(ctx, done, t);
-                                    *out = s;
-                                    relaxed += r as usize;
-                                }
-                                relaxed
-                            }))
-                        })
-                    })
-                    .collect();
-                let mut total = 0usize;
-                let mut clean = true;
-                for h in handles {
-                    match h.join().expect("worker panic is caught inside the closure") {
-                        Ok(r) => total += r,
-                        Err(_) => clean = false,
-                    }
-                }
-                if clean {
-                    Ok(total)
-                } else {
-                    Err(())
-                }
-            })
-        };
+        // First attempt: the fast path, the whole level in one go. A
+        // panic is caught and leaves the level to the degraded pass below.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut relaxed = 0usize;
+            for (out, &t) in level_out.iter_mut().zip(targets) {
+                let (s, r) = compute_node(ctx, done, t);
+                *out = s;
+                relaxed += r as usize;
+            }
+            relaxed
+        }));
         match attempt {
             Ok(relaxed) => relaxations += relaxed,
-            Err(()) => {
+            Err(_) => {
                 // Degraded pass: recompute the whole level serially with
                 // per-node isolation. `compute_node` is pure in the
                 // finished prefix, so nodes that evaluate cleanly get
@@ -1172,7 +1117,6 @@ mod tests {
             &[kick],
             &[n2],
             &SlopeModel::calibrated(),
-            1,
             guards,
             &mut Workspace::new(),
             None,
@@ -1222,7 +1166,6 @@ mod tests {
             &[a, u],
             &[y, v],
             &SlopeModel::calibrated(),
-            1,
             Guards::default(),
             &mut Workspace::new(),
             Some(&hook),
@@ -1241,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_run_is_bit_identical_across_thread_counts() {
+    fn degraded_run_is_bit_identical_across_repeats_and_workspace_reuse() {
         let (nl, kick, n2) = ring();
         let flow = analyze(&nl, &RuleSet::all());
         let q = qualify_with_flow(&nl, &flow);
@@ -1259,24 +1202,35 @@ mod tests {
                 panic!("injected fault");
             }
         };
-        let run_at = |jobs: usize| {
+        let mut reused = Workspace::new();
+        let run = |ws: &mut Workspace| {
             propagate_full(
                 &nl,
                 &g,
                 &[kick],
                 &[n2],
                 &SlopeModel::calibrated(),
-                jobs,
                 Guards::default(),
-                &mut Workspace::new(),
+                ws,
                 Some(&hook),
             )
             .0
         };
-        let serial = run_at(1);
-        let parallel = run_at(4);
-        assert_eq!(serial.arrivals.rise, parallel.arrivals.rise);
-        assert_eq!(serial.arrivals.fall, parallel.arrivals.fall);
-        assert_eq!(serial.unresolved, parallel.unresolved);
+        let fresh = run(&mut Workspace::new());
+        let first = run(&mut reused);
+        let again = run(&mut reused);
+        for r in [&first, &again] {
+            assert_eq!(fresh.arrivals.rise, r.arrivals.rise);
+            assert_eq!(fresh.arrivals.fall, r.arrivals.fall);
+            assert_eq!(fresh.unresolved, r.unresolved);
+            assert_eq!(fresh.diagnostics, r.diagnostics);
+        }
+        // The poisoned node is a source, so its degraded seed is what a
+        // clean evaluation gives it: every arrival matches a clean run,
+        // and only the unresolved list records the panic.
+        let clean = propagate(&nl, &g, &[kick], &[n2], &SlopeModel::calibrated());
+        assert_eq!(clean.arrivals.rise, fresh.arrivals.rise);
+        assert_eq!(clean.arrivals.fall, fresh.arrivals.fall);
+        assert!(fresh.unresolved.contains(&kick) && !clean.unresolved.contains(&kick));
     }
 }

@@ -44,8 +44,8 @@ pub enum Site {
     ParseChunk,
     /// Graph construction, per stage root (forced panic).
     GraphBuild,
-    /// A levelized-propagation worker, per node evaluation (forced
-    /// panic).
+    /// Levelized propagation, per node evaluation (forced panic). The
+    /// name dates from when levels ran on worker threads.
     PropagateWorker,
     /// Entry into the pass pipeline (forced `TvError::Internal`).
     PassEntry,

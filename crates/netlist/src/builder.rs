@@ -168,8 +168,8 @@ impl NetlistBuilder {
 
     /// Re-applies a role to an existing node, with the same
     /// upgrade-only rule as the named get-or-create methods (`Internal`
-    /// never downgrades a stronger role). The chunk-merge path of the
-    /// `.sim` parser replays `i`/`o`/`k` records by id through this.
+    /// never downgrades a stronger role). The `.sim` parser applies
+    /// `i`/`o`/`k` records by id through this.
     pub fn set_role(&mut self, id: NodeId, role: NodeRole) {
         if role != NodeRole::Internal {
             self.nodes[id.index()].role = role;

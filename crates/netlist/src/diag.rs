@@ -83,7 +83,7 @@ pub mod codes {
     pub const ANALYSIS_BUDGET_EXHAUSTED: &str = "TV0301";
     /// The wall-clock deadline expired; arrivals are partial.
     pub const ANALYSIS_DEADLINE: &str = "TV0302";
-    /// A worker thread panicked and its level was degraded to serial.
+    /// A propagation level panicked and was recomputed node by node.
     pub const ANALYSIS_WORKER_PANIC: &str = "TV0303";
     /// The netlist exceeds the configured size guard.
     pub const ANALYSIS_TOO_LARGE: &str = "TV0304";
@@ -334,16 +334,6 @@ impl Diagnostics {
     /// The error cap this sink was built with.
     pub fn max_errors(&self) -> usize {
         self.max_errors
-    }
-
-    /// Records that `n` error diagnostics were generated but dropped
-    /// without ever being materialized. Byte-for-byte equivalent to `n`
-    /// capped [`Diagnostics::push`] calls: the suppressed tally and the
-    /// `DiagnosticsEmitted` counter advance identically — which is how
-    /// the chunk-parallel `.sim` parser merges each worker's overflow.
-    pub fn note_suppressed(&mut self, n: usize) {
-        tv_obs::add(tv_obs::Counter::DiagnosticsEmitted, n as u64);
-        self.suppressed += n;
     }
 
     /// Consumes the sink, yielding the diagnostics (with a suppression

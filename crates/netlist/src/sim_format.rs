@@ -25,13 +25,8 @@
 //! **pre-scan** sizes the intern arena, the symbol table, and the
 //! node/device stores before the first record is built, so the hot loop
 //! performs zero growth reallocations (`ingest.reallocs` counts any that
-//! slip through — the verify gate asserts it stays zero). With
-//! [`ParseOptions::jobs`] above one, the input is split on line
-//! boundaries into fixed-size chunks — a pure function of the input
-//! bytes, never of the job count — scanned by worker threads, and merged
-//! **deterministically**: the resulting netlist and the diagnostic
-//! stream (codes, order, columns, `--max-errors` truncation) are
-//! byte-identical to the serial reader's at any `jobs` setting.
+//! slip through — the verify gate asserts it stays zero). The reader is
+//! serial: one pass over the lines, in file order.
 //!
 //! # Example
 //!
@@ -53,10 +48,8 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::diag::{codes, Diagnostic, Diagnostics};
-use crate::intern::{Interner, Symbol};
 use crate::{DeviceKind, Netlist, NetlistBuilder, NetlistError, NodeId, NodeRole, Tech};
 
 /// Serializes a netlist to the `.sim` dialect described in the module docs.
@@ -137,29 +130,17 @@ pub fn write(netlist: &Netlist) -> String {
     out
 }
 
-/// Tuning knobs for the recovering reader (see [`parse_recovering_with`]).
+/// Options for the recovering reader (see [`parse_recovering_with`]).
 #[derive(Debug, Clone)]
 pub struct ParseOptions {
-    /// Worker threads for chunk scanning. `1` (the default) is fully
-    /// serial; `0` expands to the machine's available parallelism.
-    /// Results are bit-identical at any setting.
+    /// Accepted, no effect — the engine is serial. Kept so callers that
+    /// set it (and `--jobs N`) keep compiling and replaying unchanged.
     pub jobs: usize,
-    /// Target chunk size in bytes; each chunk is extended to the next
-    /// line boundary. Chunking is a pure function of the input and this
-    /// knob — never of `jobs` — so the `ingest.chunks` counter and every
-    /// downstream artifact are jobs-independent.
-    pub chunk_bytes: usize,
 }
-
-/// Default chunk target: 1 MiB of text per worker unit.
-pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 
 impl Default for ParseOptions {
     fn default() -> Self {
-        ParseOptions {
-            jobs: 1,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
-        }
+        ParseOptions { jobs: 1 }
     }
 }
 
@@ -178,7 +159,7 @@ impl Default for ParseOptions {
 /// degenerate devices in the file.
 pub fn parse(text: &str, tech: Tech) -> Result<Netlist, NetlistError> {
     let mut sink = Diagnostics::with_max_errors(1);
-    parse_inner(text, tech, &mut sink, true, &ParseOptions::default())
+    parse_inner(text, tech, &mut sink, true)
 }
 
 /// Parses the `.sim` dialect with **error recovery**: every malformed
@@ -204,12 +185,12 @@ pub fn parse_recovering(
     tech: Tech,
     diags: &mut Diagnostics,
 ) -> Result<Netlist, NetlistError> {
-    parse_inner(text, tech, diags, false, &ParseOptions::default())
+    parse_inner(text, tech, diags, false)
 }
 
-/// [`parse_recovering`] with explicit [`ParseOptions`] — the entry point
-/// for chunk-parallel ingest. The netlist and the diagnostic stream are
-/// bit-identical to the serial reader's at any `jobs` setting.
+/// [`parse_recovering`] with explicit [`ParseOptions`], which change
+/// nothing: the netlist and the diagnostic stream are the same at any
+/// `jobs` setting.
 ///
 /// # Errors
 ///
@@ -218,9 +199,9 @@ pub fn parse_recovering_with(
     text: &str,
     tech: Tech,
     diags: &mut Diagnostics,
-    opts: &ParseOptions,
+    _opts: &ParseOptions,
 ) -> Result<Netlist, NetlistError> {
-    parse_inner(text, tech, diags, false, opts)
+    parse_inner(text, tech, diags, false)
 }
 
 fn parse_inner(
@@ -228,7 +209,6 @@ fn parse_inner(
     tech: Tech,
     diags: &mut Diagnostics,
     strict: bool,
-    opts: &ParseOptions,
 ) -> Result<Netlist, NetlistError> {
     let _span = tv_obs::span("parse.sim");
     // Tolerate a UTF-8 byte-order mark from Windows-side extractors.
@@ -249,24 +229,9 @@ fn parse_inner(
     let mut b = NetlistBuilder::new(tech);
     b.reserve(pre.name_tokens + 2, pre.dev_lines, pre.name_bytes);
     let realloc_base = b.growth_events();
-    // Chunk boundaries are a pure function of the input bytes, computed
-    // on every path so `ingest.chunks` never depends on `jobs`.
-    let chunks = split_chunks(body, opts.chunk_bytes);
-    let jobs = if opts.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        opts.jobs
-    };
-    let (line_count, dev_count) = if !strict && jobs > 1 && chunks.len() > 1 {
-        parse_chunked(&mut b, body, &chunks, diags, pre.lines, jobs)?
-    } else {
-        parse_serial_body(&mut b, body, diags, strict)?
-    };
+    let (line_count, dev_count) = parse_serial_body(&mut b, body, diags, strict)?;
     tv_obs::add(tv_obs::Counter::ParseLines, line_count);
     tv_obs::add(tv_obs::Counter::ParseDevices, dev_count as u64);
-    tv_obs::add(tv_obs::Counter::IngestChunks, chunks.len().max(1) as u64);
     tv_obs::add(tv_obs::Counter::IngestBytes, body.len() as u64);
     tv_obs::add(tv_obs::Counter::IngestPrescanSyms, pre.name_tokens as u64);
     tv_obs::add(
@@ -283,8 +248,6 @@ fn parse_inner(
 /// sizing facts that let [`NetlistBuilder::reserve`] pre-empt every
 /// growth reallocation of the build.
 struct Prescan {
-    /// Lines, counted exactly as `str::lines` counts them.
-    lines: u64,
     /// Lines whose first token is a transistor record (`e`/`d`) — the
     /// device-store reservation.
     dev_lines: usize,
@@ -320,14 +283,12 @@ fn is_ws(b: u8) -> bool {
 fn prescan(body: &str) -> Prescan {
     let bytes = body.as_bytes();
     let mut p = Prescan {
-        lines: 0,
         dev_lines: 0,
         name_tokens: 0,
         name_bytes: 0,
     };
     let mut i = 0usize;
     while i < bytes.len() {
-        p.lines += 1;
         let eol = match bytes[i..].iter().position(|&b| b == b'\n') {
             Some(k) => i + k,
             None => bytes.len(),
@@ -370,25 +331,6 @@ fn prescan(body: &str) -> Prescan {
         i = if eol < bytes.len() { eol + 1 } else { eol };
     }
     p
-}
-
-/// Splits the input into chunks of roughly `chunk_bytes`, each extended
-/// to end just past a newline so no line ever straddles two chunks. A
-/// pure function of the input bytes and the knob — never of `jobs`.
-fn split_chunks(body: &str, chunk_bytes: usize) -> Vec<&str> {
-    let cb = chunk_bytes.max(1);
-    let bytes = body.as_bytes();
-    let mut chunks = Vec::with_capacity(body.len() / cb + 1);
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let mut end = (start + cb).min(bytes.len());
-        while end < bytes.len() && bytes[end - 1] != b'\n' {
-            end += 1;
-        }
-        chunks.push(&body[start..end]);
-        start = end;
-    }
-    chunks
 }
 
 // ----- line scanning ---------------------------------------------------
@@ -466,8 +408,8 @@ fn split_fields<'a>(raw: &'a str, out: &mut [Field<'a>; MAX_FIELDS]) -> usize {
 }
 
 /// One validated `.sim` record, borrowing its name tokens from the line.
-/// Scanning is split from building so chunk workers can scan without a
-/// builder and the serial path can build without re-validating.
+/// Scanning is split from building so a rejected line never touches
+/// the builder and an accepted one is built without re-validating.
 enum Record<'a> {
     /// Blank or comment line.
     Skip,
@@ -488,7 +430,8 @@ enum Record<'a> {
 
 /// A problem found on one line, located at a token. Device-numbered
 /// messages are materialized later, once the global index of the
-/// would-be device is known (chunk workers don't know it).
+/// would-be device is known (the strict and recovering modes number it
+/// the same way but word it differently).
 struct ScanProblem {
     code: &'static str,
     col: usize,
@@ -703,7 +646,7 @@ fn scan_line(raw: &str) -> Result<Record<'_>, ScanProblem> {
 }
 
 /// Builds one accepted record into the builder. Shared by the serial
-/// reader, the fault-replay prefix, and the worker-panic fallback.
+/// reader's strict and recovering modes.
 #[inline]
 fn apply_record(b: &mut NetlistBuilder, rec: Record<'_>, dev_count: &mut usize) {
     match rec {
@@ -754,7 +697,7 @@ fn parse_serial_body(
     for (i, raw) in body.lines().enumerate() {
         let lineno = i + 1;
         line_count += 1;
-        // Fault plane: a chunk boundary every 64 lines is a trust
+        // Fault plane: every 64th line is a `parse_chunk` trust
         // boundary — a mid-read failure must surface as a loud parse
         // error, never a half-ingested netlist.
         if lineno % 64 == 0 && tv_fault::fault_point!(tv_fault::Site::ParseChunk) {
@@ -779,277 +722,6 @@ fn parse_serial_body(
         }
     }
     Ok((line_count, dev_count))
-}
-
-// ----- chunk-parallel reader -------------------------------------------
-
-/// Everything one worker learned about its chunk, in local coordinates.
-/// The merge replays it against the shared builder in chunk order, which
-/// reproduces the serial reader's first-seen node order, device
-/// numbering, capacitance accumulation order, and diagnostic stream
-/// byte for byte.
-struct ChunkOut {
-    /// Local symbol table: every name token of every accepted record,
-    /// interned in line order — within a chunk, local symbol order *is*
-    /// the serial first-seen order.
-    names: Interner,
-    /// Accepted transistors, in line order, terminals as local symbols.
-    devs: Vec<ChunkDev>,
-    /// Role and capacitance records, in line order. Capacitance is
-    /// replayed per record (not pre-summed) so float accumulation
-    /// grouping matches the serial reader exactly.
-    events: Vec<ChunkEvent>,
-    /// Rejected lines, chunk-relative, capped at the sink's error cap
-    /// (the global stream can never keep more from one chunk).
-    problems: Vec<ChunkProblem>,
-    /// Error lines beyond the retained cap — merged via
-    /// [`Diagnostics::note_suppressed`].
-    overflow: usize,
-    /// Lines in the chunk, blank and comment included.
-    lines: u64,
-}
-
-struct ChunkDev {
-    kind: DeviceKind,
-    g: u32,
-    s: u32,
-    d: u32,
-    w: f64,
-    l: f64,
-}
-
-enum ChunkEvent {
-    Role(u32, NodeRole),
-    Cap(u32, f64),
-}
-
-struct ChunkProblem {
-    /// 1-based line within the chunk.
-    line_rel: u32,
-    /// Accepted devices in this chunk before this line (for device
-    /// numbering in messages).
-    dev_rel: u32,
-    problem: ScanProblem,
-}
-
-/// Scans one chunk into local coordinates. Pure function of the chunk
-/// text — runs on a worker thread with no shared state.
-fn scan_chunk(chunk: &str, retain: usize) -> ChunkOut {
-    let mut out = ChunkOut {
-        names: Interner::with_capacity(chunk.len() / 16),
-        devs: Vec::new(),
-        events: Vec::new(),
-        problems: Vec::new(),
-        overflow: 0,
-        lines: 0,
-    };
-    for (i, raw) in chunk.lines().enumerate() {
-        out.lines += 1;
-        match scan_line(raw) {
-            Ok(Record::Skip) => {}
-            Ok(Record::Device {
-                kind,
-                g,
-                s,
-                d,
-                w,
-                l,
-            }) => {
-                let g = out.names.intern(g).index() as u32;
-                let s = out.names.intern(s).index() as u32;
-                let d = out.names.intern(d).index() as u32;
-                out.devs.push(ChunkDev {
-                    kind,
-                    g,
-                    s,
-                    d,
-                    w,
-                    l,
-                });
-            }
-            Ok(Record::Cap { node, pf }) => {
-                let sym = out.names.intern(node).index() as u32;
-                out.events.push(ChunkEvent::Cap(sym, pf));
-            }
-            Ok(Record::Role { node, role }) => {
-                let sym = out.names.intern(node).index() as u32;
-                out.events.push(ChunkEvent::Role(sym, role));
-            }
-            Err(p) => {
-                if out.problems.len() < retain {
-                    out.problems.push(ChunkProblem {
-                        line_rel: (i + 1) as u32,
-                        dev_rel: out.devs.len() as u32,
-                        problem: p,
-                    });
-                } else {
-                    out.overflow += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
-fn parse_chunked(
-    b: &mut NetlistBuilder,
-    body: &str,
-    chunks: &[&str],
-    diags: &mut Diagnostics,
-    total_lines: u64,
-    jobs: usize,
-) -> Result<(u64, usize), NetlistError> {
-    // Fault plane: the serial reader probes the parse_chunk site every
-    // 64 lines, in line order. Replay the same probe sequence up front
-    // so an armed plan fires at the identical boundary; if it does,
-    // degrade to the serial reader for the completed prefix and return
-    // the identical error.
-    let mut fired: Option<usize> = None;
-    let mut lb = 64u64;
-    while lb <= total_lines {
-        if tv_fault::fault_point!(tv_fault::Site::ParseChunk) {
-            fired = Some(lb as usize);
-            break;
-        }
-        lb += 64;
-    }
-    if let Some(line) = fired {
-        let mut dev_count = 0usize;
-        for (i, raw) in body.lines().take(line - 1).enumerate() {
-            match scan_line(raw) {
-                Ok(rec) => apply_record(b, rec, &mut dev_count),
-                Err(p) => {
-                    let (code, col) = (p.code, p.col);
-                    diags.push(Diagnostic::error(code, p.into_message(dev_count)).at(i + 1, col));
-                }
-            }
-        }
-        tv_obs::incr(tv_obs::Counter::FaultInjected);
-        return Err(NetlistError::SimParse {
-            line,
-            col: 1,
-            message: "injected fault at parse_chunk (tv_fault)".to_string(),
-        });
-    }
-
-    // Scan: a worker pool pulls chunk indices off a shared counter.
-    // Each scan is wrapped in `catch_unwind` (the PR 2 panic-isolation
-    // pattern) so one poisoned chunk degrades, never crashes.
-    let retain = diags.max_errors();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(chunks.len());
-    let mut slots: Vec<Option<Result<ChunkOut, ()>>> = (0..chunks.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut mine: Vec<(usize, Result<ChunkOut, ()>)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        scan_chunk(chunks[i], retain)
-                    }));
-                    mine.push((i, r.map_err(|_| ())));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("scan worker is panic-isolated") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-
-    // Merge, strictly in chunk order.
-    let mut line_base = 0u64;
-    let mut dev_count = 0usize;
-    for (ci, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every chunk was scanned") {
-            Ok(out) => {
-                // Interning local symbols in index order reproduces the
-                // serial first-seen node creation order.
-                let mut remap: Vec<NodeId> = Vec::with_capacity(out.names.len());
-                for sym in 0..out.names.len() {
-                    remap.push(b.node(out.names.resolve(Symbol::from_index(sym))));
-                }
-                for ev in &out.events {
-                    match *ev {
-                        ChunkEvent::Role(sym, role) => b.set_role(remap[sym as usize], role),
-                        ChunkEvent::Cap(sym, pf) => {
-                            b.add_cap(remap[sym as usize], pf)
-                                .expect("validated by scan");
-                        }
-                    }
-                }
-                let dev_base = dev_count;
-                for d in &out.devs {
-                    let name = format!("m{dev_count}");
-                    dev_count += 1;
-                    match d.kind {
-                        DeviceKind::Enhancement => {
-                            b.enhancement(
-                                name,
-                                remap[d.g as usize],
-                                remap[d.s as usize],
-                                remap[d.d as usize],
-                                d.w,
-                                d.l,
-                            );
-                        }
-                        DeviceKind::Depletion => {
-                            b.depletion(
-                                name,
-                                remap[d.g as usize],
-                                remap[d.s as usize],
-                                remap[d.d as usize],
-                                d.w,
-                                d.l,
-                            );
-                        }
-                    }
-                }
-                for p in out.problems {
-                    let lineno = line_base + p.line_rel as u64;
-                    let (code, col) = (p.problem.code, p.problem.col);
-                    let message = p.problem.into_message(dev_base + p.dev_rel as usize);
-                    diags.push(Diagnostic::error(code, message).at(lineno as usize, col));
-                }
-                diags.note_suppressed(out.overflow);
-                line_base += out.lines;
-            }
-            Err(()) => {
-                // A worker panicked on this chunk: report it and degrade
-                // the chunk to the serial reader, exactly like PR 2's
-                // per-level propagation fallback.
-                tv_obs::incr(tv_obs::Counter::FaultDegraded);
-                diags.push(Diagnostic::warning(
-                    codes::ANALYSIS_WORKER_PANIC,
-                    "a parse worker panicked; chunk reparsed serially".to_string(),
-                ));
-                let mut lines = 0u64;
-                for (i, raw) in chunks[ci].lines().enumerate() {
-                    lines += 1;
-                    match scan_line(raw) {
-                        Ok(rec) => apply_record(b, rec, &mut dev_count),
-                        Err(p) => {
-                            let lineno = line_base + i as u64 + 1;
-                            let (code, col) = (p.code, p.col);
-                            diags.push(
-                                Diagnostic::error(code, p.into_message(dev_count))
-                                    .at(lineno as usize, col),
-                            );
-                        }
-                    }
-                }
-                line_base += lines;
-            }
-        }
-    }
-    Ok((line_base, dev_count))
 }
 
 #[cfg(test)]
@@ -1226,10 +898,10 @@ mod tests {
         assert!(back.device_count() < nl.device_count());
     }
 
-    // ----- chunk-parallel determinism ----------------------------------
+    // ----- jobs invariance ---------------------------------------------
 
-    /// A workload with repeated structure, cross-chunk node reuse, and
-    /// interleaved bad lines — the adversarial case for chunked ingest.
+    /// A workload with repeated structure, node reuse far apart, and
+    /// interleaved bad lines.
     fn mixed_text(bad_every: usize) -> String {
         let mut t = String::from("| mixed workload\ni a\nk phi1 0\n");
         for n in 0..400 {
@@ -1244,8 +916,8 @@ mod tests {
         t
     }
 
-    fn opts(jobs: usize, chunk_bytes: usize) -> ParseOptions {
-        ParseOptions { jobs, chunk_bytes }
+    fn opts(jobs: usize) -> ParseOptions {
+        ParseOptions { jobs }
     }
 
     #[test]
@@ -1253,30 +925,19 @@ mod tests {
         let text = mixed_text(13);
         let mut serial_diags = Diagnostics::new();
         let serial = parse_recovering(&text, Tech::nmos4um(), &mut serial_diags).unwrap();
-        for jobs in [2, 3, 8] {
-            for chunk_bytes in [64, 301, 4096] {
-                let mut diags = Diagnostics::new();
-                let nl = parse_recovering_with(
-                    &text,
-                    Tech::nmos4um(),
-                    &mut diags,
-                    &opts(jobs, chunk_bytes),
-                )
-                .unwrap();
-                // The writer is canonical: byte-equal output means equal
-                // nodes, names, order, roles, caps, and devices.
-                assert_eq!(
-                    write(&nl),
-                    write(&serial),
-                    "netlist drift at jobs={jobs} chunk_bytes={chunk_bytes}"
-                );
-                assert_eq!(
-                    diags.render_text(None),
-                    serial_diags.render_text(None),
-                    "diagnostic drift at jobs={jobs} chunk_bytes={chunk_bytes}"
-                );
-                assert_eq!(diags.suppressed(), serial_diags.suppressed());
-            }
+        for jobs in [0, 2, 3, 8] {
+            let mut diags = Diagnostics::new();
+            let nl =
+                parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &opts(jobs)).unwrap();
+            // The writer is canonical: byte-equal output means equal
+            // nodes, names, order, roles, caps, and devices.
+            assert_eq!(write(&nl), write(&serial), "netlist drift at jobs={jobs}");
+            assert_eq!(
+                diags.render_text(None),
+                serial_diags.render_text(None),
+                "diagnostic drift at jobs={jobs}"
+            );
+            assert_eq!(diags.suppressed(), serial_diags.suppressed());
         }
     }
 
@@ -1288,8 +949,8 @@ mod tests {
         assert!(serial_diags.suppressed() > 0, "cap must actually engage");
         for jobs in [2, 8] {
             let mut diags = Diagnostics::with_max_errors(5);
-            let nl = parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &opts(jobs, 128))
-                .unwrap();
+            let nl =
+                parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &opts(jobs)).unwrap();
             assert_eq!(write(&nl), write(&serial));
             assert_eq!(diags.render_text(None), serial_diags.render_text(None));
             assert_eq!(diags.render_json(None), serial_diags.render_json(None));
@@ -1299,14 +960,13 @@ mod tests {
 
     #[test]
     fn bad_line_longer_than_a_chunk_is_reported_once_with_exact_position() {
-        // The malformed line is far longer than chunk_bytes, so the
-        // splitter must extend a chunk across it rather than tearing it.
+        // A malformed line with long tokens keeps its exact column.
         let long_name = "n".repeat(300);
         let text = format!("i a\ne a {long_name} {long_name} 2 4\no out\n");
         let mut serial_diags = Diagnostics::new();
         let serial = parse_recovering(&text, Tech::nmos4um(), &mut serial_diags).unwrap();
         let mut diags = Diagnostics::new();
-        let nl = parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &opts(4, 16)).unwrap();
+        let nl = parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &opts(4)).unwrap();
         assert_eq!(write(&nl), write(&serial));
         assert_eq!(diags.render_text(None), serial_diags.render_text(None));
         assert_eq!(diags.error_count(), 1);
@@ -1314,18 +974,6 @@ mod tests {
         assert_eq!(d.code, codes::PARSE_SHORTED_CHANNEL);
         assert_eq!(d.line, Some(2));
         assert_eq!(d.col, Some(5 + long_name.len() as u32 + 1));
-    }
-
-    #[test]
-    fn chunk_split_is_a_pure_line_respecting_cover() {
-        let text = mixed_text(7);
-        for chunk_bytes in [1, 50, 777] {
-            let chunks = split_chunks(&text, chunk_bytes);
-            assert_eq!(chunks.concat(), text, "chunks must cover the input");
-            for c in &chunks[..chunks.len() - 1] {
-                assert!(c.ends_with('\n'), "interior chunk tore a line");
-            }
-        }
     }
 
     #[test]
@@ -1345,7 +993,6 @@ mod tests {
     fn prescan_counts_match_str_lines_and_records() {
         let text = "| c\n\ni a\ne a b c 2 4\nC b 1\nk phi1 0\ntrailing no newline";
         let pre = prescan(text);
-        assert_eq!(pre.lines, text.lines().count() as u64);
         assert_eq!(pre.dev_lines, 1);
         // 3 device names + C + i + k node tokens.
         assert_eq!(pre.name_tokens, 6);

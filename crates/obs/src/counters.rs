@@ -97,13 +97,12 @@ pub enum Counter {
     /// Commands the session supervisor retried after a recoverable
     /// failure (transient I/O, worker panic, internal error).
     FaultRetries,
-    /// Degraded recoveries: parallel work recomputed serially after a
-    /// worker panic, or a corrupt certificate recomputed cold.
+    /// Degraded recoveries: a level or graph root recomputed with
+    /// per-node isolation after a panic, or a corrupt certificate
+    /// recomputed cold.
     FaultDegraded,
     /// Journal entries replayed through the edit API on `--resume`.
     FaultJournalReplays,
-    /// Chunks the `.sim` ingest path split its input into (1 = serial).
-    IngestChunks,
     /// Bytes of `.sim` text swept by the ingest pre-scan.
     IngestBytes,
     /// Name-token upper bound the pre-scan sized the intern table for.
@@ -175,7 +174,6 @@ pub const ALL: [Counter; COUNT] = [
     Counter::FaultRetries,
     Counter::FaultDegraded,
     Counter::FaultJournalReplays,
-    Counter::IngestChunks,
     Counter::IngestBytes,
     Counter::IngestPrescanSyms,
     Counter::IngestReallocs,
@@ -226,7 +224,6 @@ impl Counter {
             Counter::FaultRetries => "fault.retries",
             Counter::FaultDegraded => "fault.degraded",
             Counter::FaultJournalReplays => "fault.journal_replays",
-            Counter::IngestChunks => "ingest.chunks",
             Counter::IngestBytes => "ingest.bytes",
             Counter::IngestPrescanSyms => "ingest.prescan_syms",
             Counter::IngestReallocs => "ingest.reallocs",

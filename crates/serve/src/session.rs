@@ -306,17 +306,8 @@ impl Session {
             format!("cannot read {path}: {e}")
         })?;
         let mut diags = Diagnostics::with_max_errors(self.max_errors);
-        let popts = sim_format::ParseOptions {
-            jobs: self.options.effective_jobs(),
-            ..sim_format::ParseOptions::default()
-        };
-        let netlist = sim_format::parse_recovering_with(
-            &text,
-            self.techs.nmos4um.clone(),
-            &mut diags,
-            &popts,
-        )
-        .map_err(|e| {
+        let netlist = sim_format::parse_recovering(&text, self.techs.nmos4um.clone(), &mut diags)
+            .map_err(|e| {
             // Nothing was installed, so a re-read-and-re-parse is
             // safe; on a genuinely bad file the retry fails the
             // same way and the error stands.

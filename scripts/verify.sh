@@ -8,6 +8,16 @@ cd "$(dirname "$0")/.."
 # so --offline must always work; using it here keeps the gate honest.
 export CARGO_NET_OFFLINE=true
 
+echo "== engine guard: no thread fan-out =="
+# The engine is serial end to end: every thread fan-out it had tied or
+# lost to the serial loop at every --jobs (EXPERIMENTS.md P1). One comes
+# back only with a benchmark workload that shows its gain.
+if grep -rnE 'thread::(scope|spawn)' crates/core/src crates/netlist/src \
+    crates/flow/src crates/clocks/src crates/rc/src; then
+  echo "engine guard: thread fan-out in an engine crate"
+  exit 1
+fi
+
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline --workspace
 
@@ -80,7 +90,7 @@ echo "== extract smoke: hierarchical macromodels share and de-share =="
 cargo run --release --offline --bin tv -- batch tests/data/extract_smoke.txt \
   | diff -u tests/data/extract_smoke.golden -
 
-echo "== ingest smoke: chunked parse identity + zero reallocs =="
+echo "== ingest smoke: ingest identity across --jobs + zero reallocs =="
 # Generate a ~100k-device multi-core design with `tv gen`, parse it at
 # --jobs 1/2/8, and require byte-identical reports, diagnostics, and
 # metrics dumps (DESIGN.md §15). The jobs-1 dump must also show
@@ -125,8 +135,8 @@ echo "== chaos smoke: tv chaos --seeds 64 vs golden =="
 # sweep's own exit code.
 cargo run --release --offline --bin tv -- chaos --seeds 64 \
   | diff -u tests/data/chaos_smoke.golden -
-# The same tally with parallel propagation workers: every fault plan's
-# outcome is independent of --jobs.
+# The same tally at --jobs 2: the flag has no effect, so every fault
+# plan's outcome is the same.
 cargo run --release --offline --bin tv -- chaos --seeds 64 --jobs 2 \
   | diff -u tests/data/chaos_smoke.golden -
 

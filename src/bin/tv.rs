@@ -42,10 +42,10 @@
 //! Malformed `.sim` input no longer stops at the first bad line: the
 //! recovering parser reports *every* problem (`--max-errors` caps the
 //! count, `--diag-format json` switches to machine-readable output) and
-//! analyzes whatever parsed. `--jobs N` fans graph construction and
-//! levelized propagation out over `N` threads (`0` = all cores) with
-//! bit-identical results; `--relax-budget` / `--deadline` bound the work
-//! a pathological netlist can consume, returning partial results.
+//! analyzes whatever parsed. `--relax-budget` / `--deadline` bound the
+//! work a pathological netlist can consume, returning partial results.
+//! `--jobs N` is still parsed and validated but has no effect: the
+//! engine is serial, so scripts that pass it replay unchanged.
 //!
 //! Exit status: `0` clean, `1` analysis failure (unreadable or
 //! unrecoverable input, parse errors, exhausted resource guards), `2`
@@ -123,6 +123,9 @@ const USAGE: &str = "usage:
 diagnostics (all netlist-reading subcommands):
   --max-errors N        stop reporting parse errors after N (default 20)
   --diag-format FMT     text (default) or json
+
+engine flags:
+  --jobs N              accepted, no effect (the engine is serial)
 
 observability (all subcommands):
   --profile             span summary + nonzero counters to stderr
@@ -671,14 +674,12 @@ fn load(args: &[String], cli: &Cli) -> Result<(Netlist, Diagnostics), TvError> {
         source: e,
     })?;
     let mut diags = Diagnostics::with_max_errors(cli.max_errors);
-    let popts = sim_format::ParseOptions {
-        jobs: cli.options.effective_jobs(),
-        ..sim_format::ParseOptions::default()
-    };
-    let netlist = sim_format::parse_recovering_with(&text, Tech::nmos4um(), &mut diags, &popts)
-        .map_err(|e| TvError::Parse {
-            path: path.clone(),
-            message: e.to_string(),
+    let netlist =
+        sim_format::parse_recovering(&text, Tech::nmos4um(), &mut diags).map_err(|e| {
+            TvError::Parse {
+                path: path.clone(),
+                message: e.to_string(),
+            }
         })?;
     Ok((netlist, diags))
 }

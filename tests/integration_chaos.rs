@@ -66,9 +66,8 @@ fn chaos_sweep_is_deterministic() {
     assert_eq!(a.to_string(), b.to_string());
 }
 
-/// The sweep's recovery paths hold at a parallel jobs setting too (the
-/// propagation worker-panic site degrades chunked scoped threads, not
-/// just the serial fast path).
+/// The sweep's recovery paths hold at any jobs setting too (`jobs` is
+/// accepted and ignored: the engine is serial).
 #[test]
 fn chaos_sweep_is_clean_with_parallel_workers() {
     let _g = plane_lock();

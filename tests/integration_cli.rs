@@ -159,6 +159,17 @@ fn bad_usage_exits_two_with_usage_text() {
         .output()
         .expect("run tv");
     assert_eq!(out.status.code(), Some(2));
+
+    // `--jobs` has no effect, but its operand is still validated.
+    let out = tv()
+        .args(["analyze"])
+        .arg(f.path())
+        .args(["--jobs", "x"])
+        .output()
+        .expect("run tv");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("usage:"), "{err}");
 }
 
 #[test]
@@ -280,6 +291,32 @@ fn analyze_flags_are_honored() {
         .expect("run tv");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(!text.contains("phase 1:"), "{text}");
+
+    // --jobs is accepted and ignored (the engine is serial): on the
+    // mips32 datapath, stdout, stderr, exit code and the --metrics dump
+    // are byte-identical at every value, 0 ("all cores") included.
+    let dp = nmos_tv::gen::datapath::datapath(
+        nmos_tv::netlist::Tech::nmos4um(),
+        nmos_tv::gen::datapath::DatapathConfig::mips32(),
+    );
+    let mips = tempfile::NamedTempPath::new(&nmos_tv::netlist::sim_format::write(&dp.netlist));
+    let run_at = |jobs: &str| {
+        let dump = tempfile::NamedTempPath::new("");
+        let out = tv()
+            .args(["analyze"])
+            .arg(mips.path())
+            .args(["--jobs", jobs, "--metrics"])
+            .arg(dump.path())
+            .output()
+            .expect("run tv");
+        let metrics = std::fs::read_to_string(dump.path()).expect("read metrics dump");
+        (out.status.code(), out.stdout, out.stderr, metrics)
+    };
+    let serial = run_at("1");
+    assert!(!serial.1.is_empty() && !serial.3.is_empty());
+    for jobs in ["0", "8"] {
+        assert!(run_at(jobs) == serial, "--jobs {jobs} changed the output");
+    }
 }
 
 /// The latch corpus with three injected faults: an unknown record, a
