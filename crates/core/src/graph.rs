@@ -329,6 +329,7 @@ pub(crate) fn finish_graph(
     tv_obs::incr(tv_obs::Counter::GraphBuilds);
     tv_obs::add(tv_obs::Counter::GraphArcs, arcs.len() as u64);
     let n = node_count;
+    let csr = tv_obs::span("graph.csr");
     let mut out_starts = vec![0u32; n + 1];
     let mut in_starts = vec![0u32; n + 1];
     for a in &arcs {
@@ -351,7 +352,11 @@ pub(crate) fn finish_graph(
         in_arc_ids[*c as usize] = i as u32;
         *c += 1;
     }
-    let schedule = LevelSchedule::build(n, &arcs, &out_starts, &out_arc_ids);
+    drop(csr);
+    let schedule = {
+        let _s = tv_obs::span("graph.levels");
+        LevelSchedule::build(n, &arcs, &out_starts, &out_arc_ids)
+    };
     TimingGraph {
         arcs,
         out_starts,
@@ -406,6 +411,7 @@ pub(crate) fn splice_roots(
     scratch: &mut BuildScratch,
     changed: &mut Vec<u32>,
 ) -> Result<bool, ()> {
+    let _span = tv_obs::span("graph.splice");
     let mut fresh: Vec<Arc> = Vec::new();
     let mut flips = false;
     for &k in affected {

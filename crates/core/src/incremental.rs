@@ -6,10 +6,11 @@
 //! before plus exactly which nodes have an in-arc whose delay/τ words
 //! changed in between. The cache keeps one arrival snapshot per case,
 //! tagged with the graph fingerprint it was taken under. A certificate
-//! naming that fingerprint is served by [`crate::propagate`]'s
-//! demand-driven cone engine: only the fanout closure of the listed
-//! nodes is re-relaxed, everything else is copied from the snapshot,
-//! bit-identical to the full walk. A phase case's race state
+//! naming that fingerprint is served by [`crate::propagate`]'s cone
+//! walk, which patches the snapshot's node-order rows in place: only
+//! the fanout closure of the listed nodes is re-evaluated, by the same
+//! per-node evaluation the full walk uses, and every other row stays as
+//! it was — bit-identical to the full walk. A phase case's race state
 //! ([`RaceState`]) rides along, re-derived over the same cone.
 //!
 //! A case with a cyclic residue keeps a snapshot only when the residue
@@ -34,7 +35,7 @@ use tv_rc::SlopeModel;
 use crate::graph::TimingGraph;
 use crate::hold::{RaceHazard, RaceState};
 use crate::propagate::{
-    propagate_cone, propagate_full, Arrivals, Completion, Guards, PhaseResult, Workspace,
+    node_mask, propagate_cone, propagate_full, Arrivals, Completion, Guards, PhaseResult,
 };
 
 /// Which propagation engine served one analysis case.
@@ -117,8 +118,6 @@ pub(crate) struct IncrementalCache {
     slope: Option<[u64; 2]>,
     cases: FxHashMap<Option<u8>, CaseEntry>,
     stats: Vec<CaseStats>,
-    /// Propagation scratch, reused across cases and runs.
-    workspace: Workspace,
 }
 
 impl IncrementalCache {
@@ -155,12 +154,7 @@ impl IncrementalCache {
     ) -> PhaseResult {
         let n = netlist.node_count();
         let key = graph.case.active;
-        let IncrementalCache {
-            cases,
-            stats,
-            workspace,
-            ..
-        } = self;
+        let IncrementalCache { cases, stats, .. } = self;
 
         // Fault plane: a forced certificate corruption. Dropping the
         // snapshot forces the full walk, whose result is bit-identical
@@ -176,7 +170,7 @@ impl IncrementalCache {
         // reflects the current arcs, the splice's changed targets when it
         // reflects the arcs just before the certified step — unless an
         // arc flipped finiteness under a diverged residue's verdict.
-        let snapshot = cases.get_mut(&key).filter(|e| e.arrivals.rise.len() == n);
+        let snapshot = cases.get_mut(&key).filter(|e| e.arrivals.rows.len() == n);
         let certified = match (snapshot, &delta.since) {
             (Some(e), _) if e.graph_fp == delta.graph_fp => Some((e, &[][..])),
             (Some(e), Some((prev_fp, changed)))
@@ -201,15 +195,8 @@ impl IncrementalCache {
                 // Patches the snapshot in place. A flip under a diverged
                 // residue falls through to the full walk below, which
                 // overwrites or removes this entry either way.
-                let (mut result, flipped) = propagate_cone(
-                    graph,
-                    sources,
-                    endpoints,
-                    slope,
-                    &cone,
-                    &mut entry.arrivals,
-                    workspace,
-                );
+                let (mut result, flipped) =
+                    propagate_cone(graph, sources, endpoints, slope, &cone, &mut entry.arrivals);
                 if !(flipped && entry.residue.is_some()) {
                     if let Some(r) = &entry.residue {
                         result.cyclic = true;
@@ -240,20 +227,13 @@ impl IncrementalCache {
             fallback = Some((hit, cone.len()));
         }
 
-        let (result, diverged) = propagate_full(
-            netlist, graph, sources, endpoints, slope, guards, workspace, None,
-        );
-        let residue = diverged.then(|| {
-            let mut in_residue = vec![false; n];
-            for &r in &graph.schedule.residue {
-                in_residue[r as usize] = true;
-            }
-            Residue {
-                in_residue,
-                relaxations: result.relaxations,
-                unresolved: result.unresolved.clone(),
-                diagnostics: result.diagnostics.clone(),
-            }
+        let (result, diverged) =
+            propagate_full(netlist, graph, sources, endpoints, slope, guards, None);
+        let residue = diverged.then(|| Residue {
+            in_residue: node_mask(n, graph.schedule.residue.iter().map(|&r| r as usize)),
+            relaxations: result.relaxations,
+            unresolved: result.unresolved.clone(),
+            diagnostics: result.diagnostics.clone(),
         });
         if graph.schedule.residue.is_empty() || residue.is_some() {
             cases.insert(
@@ -429,28 +409,8 @@ mod tests {
     /// count (the figure the golden fingerprint hashes).
     fn assert_bit_identical(nl: &tv_netlist::Netlist, a: &PhaseResult, b: &PhaseResult) {
         for i in nl.node_ids() {
-            let i = i.index();
-            assert_eq!(a.arrivals.rise[i].to_bits(), b.arrivals.rise[i].to_bits());
-            assert_eq!(a.arrivals.fall[i].to_bits(), b.arrivals.fall[i].to_bits());
-            assert_eq!(
-                a.arrivals.trans_rise[i].to_bits(),
-                b.arrivals.trans_rise[i].to_bits()
-            );
-            assert_eq!(
-                a.arrivals.trans_fall[i].to_bits(),
-                b.arrivals.trans_fall[i].to_bits()
-            );
-            let pred = |p: &Option<crate::propagate::Pred>| p.map(|p| (p.arc, p.from_edge));
-            assert_eq!(
-                pred(&a.arrivals.pred_rise[i]),
-                pred(&b.arrivals.pred_rise[i]),
-                "rise pred diverged at node {i}"
-            );
-            assert_eq!(
-                pred(&a.arrivals.pred_fall[i]),
-                pred(&b.arrivals.pred_fall[i]),
-                "fall pred diverged at node {i}"
-            );
+            let (x, y) = (&a.arrivals.rows[i.index()], &b.arrivals.rows[i.index()]);
+            assert_eq!(x.bits(), y.bits(), "row diverged at node {i:?}");
         }
         assert_eq!(a.relaxations, b.relaxations, "charged relaxations differ");
         assert_eq!(a.endpoints.len(), b.endpoints.len());

@@ -450,6 +450,7 @@ fn extract(
     // unless it founds a class: the store holds master traces only, so
     // the build never retains the all-roots canon stream (hundreds of
     // MB at a million devices).
+    let sign = tv_obs::span("graph.sign");
     let mut class_of = vec![0u32; n_roots];
     let mut masters: Vec<u32> = Vec::new();
     let mut class_len: Vec<u32> = Vec::new();
@@ -507,8 +508,10 @@ fn extract(
     }
     drop(by_key);
     drop(master_canon);
+    drop(sign);
 
     // Phase C: analyze one master per class into a pin-indexed table.
+    let masters_span = tv_obs::span("graph.masters");
     let mut arcs: Vec<Arc> = Vec::new();
     let tables: Vec<MacroTable> = masters
         .iter()
@@ -542,8 +545,10 @@ fn extract(
         })
         .collect();
     drop(arcs);
+    drop(masters_span);
 
     // Phase D: shared classes by pin remap, opaque ones by flat build.
+    let emit_span = tv_obs::span("graph.emit");
     let (arcs, spans) = emit(
         roots,
         |r| match &tables[class_of[r] as usize] {
@@ -556,6 +561,7 @@ fn extract(
             builder.build_root(root, source_resistance, arcs, &mut scratch)
         },
     );
+    drop(emit_span);
 
     // Work accounting: a class whose table shared counts one analysis
     // and `len - 1` instancings; an opaque class analyzed every member.

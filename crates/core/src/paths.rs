@@ -92,9 +92,10 @@ pub fn backtrack(
             edge: cur_edge,
             at,
         });
+        let row = &arrivals.rows[cur.index()];
         let pred = match cur_edge {
-            Edge::Rise => arrivals.pred_rise[cur.index()],
-            Edge::Fall => arrivals.pred_fall[cur.index()],
+            Edge::Rise => row.pred_rise,
+            Edge::Fall => row.pred_fall,
         };
         match pred {
             None => break, // reached a source

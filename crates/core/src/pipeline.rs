@@ -786,6 +786,7 @@ fn graph_pass(
         // all pinned by `shape_fp` — so the index built on the first
         // attempt serves every later one, and a one-shot run never
         // pays for it.
+        let extents_span = tv_obs::span("graph.extents");
         let (extent_starts, extent_roots) =
             extents.get_or_insert_with(|| builder.extents(roots, &mut scratch));
         let mut affected: Vec<u32> = Vec::new();
@@ -797,6 +798,7 @@ fn graph_pass(
         }
         affected.sort_unstable();
         affected.dedup();
+        drop(extents_span);
         let prev_fp = *slot_in;
         let mut changed: Vec<u32> = Vec::new();
         let mut flips = false;

@@ -1,31 +1,35 @@
 //! Worst-case arrival-time propagation over the timing graph.
 //!
-//! # The levelized engine
+//! # One walk
 //!
-//! Propagation runs in two phases over the
-//! [`crate::graph::LevelSchedule`] the graph carries:
+//! Arrivals live in node order, one `Row` per node: the worst rise and
+//! fall arrival, the transition of the waveform achieving each, and
+//! each edge's predecessor. One function, `eval_node`, evaluates a
+//! leveled node *pull*-style: its row is the maximum over its in-arcs,
+//! in ascending arc-id order, read from its predecessors' rows. Every
+//! predecessor of a leveled node sits at a strictly lower level of the
+//! [`crate::graph::LevelSchedule`], so a walk in level order reads only
+//! final rows. Three callers share the evaluation:
 //!
-//! 1. **Levels.** Every node whose ancestry is acyclic has a topological
-//!    level; all its in-arcs come from strictly earlier levels. Each
-//!    level is computed *pull*-style: a node's worst rise/fall arrival is
-//!    the maximum over its in-arcs, evaluated in ascending arc-id order.
-//!    The computation of one node reads only finished earlier levels and
-//!    writes only its own entry, so a panic is contained to its level:
-//!    the level reruns with per-node isolation (the degraded pass).
-//! 2. **Residue.** Nodes on or downstream of a combinational cycle never
-//!    level; they are finished by the original budgeted worklist
-//!    relaxation (seeded from the already-final leveled frontier), which
-//!    reports genuine cycles via [`PhaseResult::cyclic`] exactly as the
-//!    fully serial engine did.
-//!
-//! Warm re-analyses additionally have the **demand-driven cone engine**
-//! ([`propagate_cone`]): given a cached snapshot and the forward-closed
-//! affected set of a certified edit, it re-relaxes only the affected
-//! nodes in level order and copies the rest from the snapshot —
-//! bit-identical to the full walk, at a cost proportional to the edit's
-//! fanout cone instead of the chip. A residue whose divergence screen
-//! fired sits at its seed values, which no edit of the leveled part can
-//! move while the verdict holds, so such a case gets the cone too.
+//! 1. **The full walk** ([`propagate`]) seeds every row, evaluates each
+//!    level in place, and finishes the **residue** — nodes on or
+//!    downstream of a combinational cycle, which never level — with a
+//!    divergence screen and a budgeted worklist relaxation seeded from
+//!    the already-final leveled frontier. Genuine cycles are reported
+//!    via [`PhaseResult::cyclic`].
+//! 2. **The degraded pass.** Each level runs under `catch_unwind`; a
+//!    panic leaves the level to a per-node re-evaluation, each node
+//!    isolated on its own. A level reads only earlier levels, so rows
+//!    its first attempt already wrote are rewritten with the same bits,
+//!    and a node that panics again keeps its seed ("no arrival").
+//! 3. **The cone walk** ([`propagate_cone`]): given a cached snapshot and
+//!    the forward-closed affected set of a certified edit, it patches
+//!    the snapshot in place, re-evaluating only the affected nodes in
+//!    level order — bit-identical to the full walk, at a cost
+//!    proportional to the edit's fanout cone instead of the chip. A
+//!    residue whose divergence screen fired sits at its seed values,
+//!    which no edit of the leveled part can move while the verdict
+//!    holds, so such a case gets the cone too.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,30 +68,52 @@ pub(crate) struct Pred {
     pub from_edge: Edge,
 }
 
+/// One node's propagation state.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    pub rise: f64,
+    pub fall: f64,
+    /// 10–90% transition time of the waveform achieving the worst rise.
+    pub trans_rise: f64,
+    /// 10–90% transition time of the waveform achieving the worst fall.
+    pub trans_fall: f64,
+    pub pred_rise: Option<Pred>,
+    pub pred_fall: Option<Pred>,
+}
+
+impl Row {
+    /// A node's row before any in-arc is read: a source arrives at 0 on
+    /// both edges with step transitions, any other node never arrives.
+    fn seed(source: bool) -> Row {
+        let t0 = if source { 0.0 } else { f64::NEG_INFINITY };
+        Row {
+            rise: t0,
+            fall: t0,
+            trans_rise: 0.0,
+            trans_fall: 0.0,
+            pred_rise: None,
+            pred_fall: None,
+        }
+    }
+}
+
 /// Worst-case rise/fall arrival times at every node, measured from the
-/// analyzed phase's opening edge. `f64::NEG_INFINITY` means the
-/// transition never happens in this case.
+/// analyzed phase's opening edge, one row per node in node order.
+/// `f64::NEG_INFINITY` means the transition never happens in this case.
 #[derive(Debug, Clone)]
 pub struct Arrivals {
-    pub(crate) rise: Vec<f64>,
-    pub(crate) fall: Vec<f64>,
-    /// 10–90% transition time of the waveform achieving the worst rise.
-    pub(crate) trans_rise: Vec<f64>,
-    /// 10–90% transition time of the waveform achieving the worst fall.
-    pub(crate) trans_fall: Vec<f64>,
-    pub(crate) pred_rise: Vec<Option<Pred>>,
-    pub(crate) pred_fall: Vec<Option<Pred>>,
+    pub(crate) rows: Vec<Row>,
 }
 
 impl Arrivals {
     /// Rise arrival at `node`, ns, if it can rise in this case.
     pub fn rise(&self, node: NodeId) -> Option<f64> {
-        finite(self.rise[node.index()])
+        finite(self.rows[node.index()].rise)
     }
 
     /// Fall arrival at `node`, ns, if it can fall in this case.
     pub fn fall(&self, node: NodeId) -> Option<f64> {
-        finite(self.fall[node.index()])
+        finite(self.rows[node.index()].fall)
     }
 
     /// Worst (latest) arrival at `node` over both edges, ns.
@@ -103,9 +129,10 @@ impl Arrivals {
     /// 10–90% transition time of the waveform achieving the worst arrival
     /// of the given edge at `node`, ns.
     pub fn transition(&self, node: NodeId, edge: Edge) -> Option<f64> {
+        let row = &self.rows[node.index()];
         match edge {
-            Edge::Rise => self.rise(node).map(|_| self.trans_rise[node.index()]),
-            Edge::Fall => self.fall(node).map(|_| self.trans_fall[node.index()]),
+            Edge::Rise => self.rise(node).map(|_| row.trans_rise),
+            Edge::Fall => self.fall(node).map(|_| row.trans_fall),
         }
     }
 
@@ -164,8 +191,11 @@ pub struct PhaseResult {
     /// Endpoint nodes (latches captured this phase, primary outputs) with
     /// their worst arrivals, sorted latest-first.
     pub endpoints: Vec<(NodeId, f64)>,
-    /// Whether relaxation hit the iteration cap — a genuine (or
-    /// unresolvable) combinational cycle.
+    /// Whether the residue failed to converge — a genuine (or
+    /// unresolvable) combinational cycle: either the divergence screen
+    /// found a finite arrival reaching a positive-delay cycle (the
+    /// residue is left at its seed values), or the relaxation hit its
+    /// iteration cap.
     pub cyclic: bool,
     /// Number of arc relaxations performed (a work measure for T5).
     pub relaxations: usize,
@@ -191,73 +221,47 @@ impl PhaseResult {
     pub fn arrival(&self, node: NodeId) -> Option<f64> {
         self.arrivals.arrival(node)
     }
-}
 
-/// Per-node propagation state, kept in level (slot) order during the
-/// walk so each level is one contiguous slice.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    rise: f64,
-    fall: f64,
-    trans_rise: f64,
-    trans_fall: f64,
-    pred_rise: Option<Pred>,
-    pred_fall: Option<Pred>,
-}
-
-impl Slot {
-    fn init(source: bool) -> Slot {
-        let t0 = if source { 0.0 } else { f64::NEG_INFINITY };
-        Slot {
-            rise: t0,
-            fall: t0,
-            trans_rise: 0.0,
-            trans_fall: 0.0,
-            pred_rise: None,
-            pred_fall: None,
+    /// A complete, clean result over `arrivals`, with the arriving
+    /// `endpoints` sorted latest-first.
+    fn complete(
+        case: PhaseCase,
+        arrivals: Arrivals,
+        endpoints: &[NodeId],
+        relaxations: usize,
+    ) -> PhaseResult {
+        let mut eps: Vec<(NodeId, f64)> = endpoints
+            .iter()
+            .filter_map(|&e| arrivals.arrival(e).map(|t| (e, t)))
+            .collect();
+        eps.sort_by(|a, b| b.1.total_cmp(&a.1));
+        PhaseResult {
+            case,
+            arrivals,
+            endpoints: eps,
+            cyclic: false,
+            relaxations,
+            completion: Completion::Complete,
+            unresolved: Vec::new(),
+            diagnostics: Vec::new(),
         }
     }
 }
 
-/// Reusable scratch buffers for repeated propagation runs: the slot
-/// permutation, the per-node slot array, and the residue worklist. One
-/// instance serves every case of a report, so after the first case at a
-/// given netlist size a propagation run allocates only the [`Arrivals`]
-/// it returns (which the caller keeps) — everything transient is reused.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    is_source: Vec<bool>,
-    slot_of: Vec<u32>,
-    slots: Vec<Slot>,
-    in_residue: Vec<bool>,
-    queued: Vec<bool>,
-    queue: VecDeque<u32>,
-}
-
-impl Workspace {
-    /// An empty workspace; buffers grow to the netlist size on first use.
-    pub fn new() -> Self {
-        Self::default()
+/// An n-bool mask with `true` at the listed nodes.
+pub(crate) fn node_mask(n: usize, nodes: impl IntoIterator<Item = usize>) -> Vec<bool> {
+    let mut mask = vec![false; n];
+    for i in nodes {
+        mask[i] = true;
     }
-}
-
-/// Shared read-only context for node evaluation.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    graph: &'a TimingGraph,
-    slope: &'a SlopeModel,
-    /// Node index → slot index (level order, then residue).
-    slot_of: &'a [u32],
-    is_source: &'a [bool],
-    /// Fault-injection hook (tests only); called before each evaluation.
-    fault: Option<&'a dyn Fn(u32)>,
+    mask
 }
 
 /// Candidate `(rise arrival, rise trigger, fall arrival, fall trigger)`
 /// the arc offers its target, padded with the slope penalty of the
 /// triggering waveform.
 #[inline]
-fn candidates(arc: &Arc, from: &Slot, slope: &SlopeModel) -> (f64, Edge, f64, Edge) {
+fn candidates(arc: &Arc, from: &Row, slope: &SlopeModel) -> (f64, Edge, f64, Edge) {
     match arc.kind {
         ArcKind::PassControl | ArcKind::Precharge => (
             from.rise + arc.rise_delay + slope.k_slope * from.trans_rise,
@@ -285,7 +289,7 @@ fn candidates(arc: &Arc, from: &Slot, slope: &SlopeModel) -> (f64, Edge, f64, Ed
 /// than the current arrival (with its output transition and
 /// predecessor). Returns whether either edge improved.
 #[inline]
-fn relax(target: &mut Slot, arc: &Arc, ai: u32, from: &Slot, slope: &SlopeModel) -> bool {
+fn relax(target: &mut Row, arc: &Arc, ai: u32, from: &Row, slope: &SlopeModel) -> bool {
     let (cand_rise, rise_src, cand_fall, fall_src) = candidates(arc, from, slope);
     let mut improved = false;
     if cand_rise.is_finite() && cand_rise > target.rise {
@@ -309,32 +313,30 @@ fn relax(target: &mut Slot, arc: &Arc, ai: u32, from: &Slot, slope: &SlopeModel)
     improved
 }
 
-/// Evaluates one leveled node: the max over its in-arcs in ascending
-/// arc-id order. Pure in the finished prefix, so the degraded pass
-/// reproduces every value a clean evaluation would have produced.
-fn compute_node(ctx: Ctx<'_>, done: &[Slot], node: u32) -> (Slot, u32) {
-    if let Some(hook) = ctx.fault {
-        hook(node);
+/// Evaluates leveled node `node` from its predecessors' `rows`: its
+/// seed, maxed over its in-arcs in ascending arc-id order. Reads only
+/// rows at strictly lower levels, so every caller that walks in level
+/// order — the full walk, the degraded pass, the cone walk — gets the
+/// same bits from the same finished predecessors. Returns the new row
+/// and the number of arcs relaxed.
+///
+/// Kept out of line: inlined into the full walk's `catch_unwind`
+/// closures, the T5 full walk measured about 8% slower.
+#[inline(never)]
+fn eval_node(
+    graph: &TimingGraph,
+    slope: &SlopeModel,
+    rows: &[Row],
+    source: bool,
+    node: usize,
+) -> (Row, usize) {
+    let mut row = Row::seed(source);
+    let in_arcs = graph.in_arcs_of_index(node);
+    for &ai in in_arcs {
+        let arc = &graph.arcs[ai as usize];
+        relax(&mut row, arc, ai, &rows[arc.from.index()], slope);
     }
-    // Fault plane: a forced panic, caught by the same isolation
-    // that contains a genuine one (every caller is under catch_unwind).
-    if tv_fault::fault_point!(tv_fault::Site::PropagateWorker) {
-        tv_obs::incr(tv_obs::Counter::FaultInjected);
-        panic!(
-            "{}",
-            tv_fault::panic_message(tv_fault::Site::PropagateWorker)
-        );
-    }
-    let ni = node as usize;
-    let mut s = Slot::init(ctx.is_source[ni]);
-    let mut relaxed = 0u32;
-    for &ai in ctx.graph.in_arcs_of_index(ni) {
-        let arc = &ctx.graph.arcs[ai as usize];
-        let from = &done[ctx.slot_of[arc.from.index()] as usize];
-        relax(&mut s, arc, ai, from, ctx.slope);
-        relaxed += 1;
-    }
-    (s, relaxed)
+    (row, in_arcs.len())
 }
 
 /// The waveform-state transitions an arc can carry, mirroring
@@ -370,23 +372,22 @@ fn arc_transitions(arc: &Arc) -> [Option<(usize, usize)>; 2] {
 /// exactly as it always has, value for value.
 ///
 /// Three linear passes: mark states finite-reachable from the residue
-/// seeds (initial slot values plus arcs entering from the finished
+/// seeds (initial row values plus arcs entering from the finished
 /// prefix), then Kahn-peel the subgraph they induce; a leftover state
 /// proves a reachable cycle.
 fn residue_diverges(
     graph: &TimingGraph,
-    slots: &[Slot],
-    slot_of: &[u32],
+    rows: &[Row],
     in_residue: &[bool],
     residue: &[u32],
 ) -> bool {
     let n = in_residue.len();
     let mut finite = vec![false; 2 * n];
     let mut stack: Vec<u32> = Vec::new();
-    // Seed: residue nodes' initial slot values (sources arrive at 0).
+    // Seed: residue nodes' initial row values (sources arrive at 0).
     for &r in residue {
         let ri = r as usize;
-        let s = &slots[slot_of[ri] as usize];
+        let s = &rows[ri];
         for (bit, v) in [(0, s.rise), (1, s.fall)] {
             if v.is_finite() {
                 finite[2 * ri + bit] = true;
@@ -395,10 +396,10 @@ fn residue_diverges(
         }
     }
     // Seed: arcs entering the residue from the finished prefix, whose
-    // slot values are final.
+    // rows are final.
     for a in &graph.arcs {
         if in_residue[a.to.index()] && !in_residue[a.from.index()] {
-            let s = &slots[slot_of[a.from.index()] as usize];
+            let s = &rows[a.from.index()];
             for (fe, te) in arc_transitions(a).into_iter().flatten() {
                 let v = if fe == 0 { s.rise } else { s.fall };
                 let st = 2 * a.to.index() + te;
@@ -498,7 +499,6 @@ pub fn propagate(
         endpoints,
         slope,
         Guards::default(),
-        &mut Workspace::new(),
         None,
     )
     .0
@@ -517,9 +517,9 @@ pub fn propagate_with(
     propagate(netlist, graph, sources, endpoints, slope)
 }
 
-/// Demand-driven cone engine: re-relaxes only the `cone` nodes, given
-/// in level order, patching the cached snapshot `arr` in place; the
-/// result carries one clone of the patched snapshot.
+/// The cone walk: re-evaluates only the `cone` nodes, given in level
+/// order, patching the cached snapshot `arr` in place; the result
+/// carries one clone of the patched snapshot.
 ///
 /// Preconditions (the caller — [`crate::incremental::IncrementalCache`]
 /// — enforces all three): the cone holds leveled nodes only and is
@@ -528,12 +528,11 @@ pub fn propagate_with(
 /// and sits at seed values), and no wall-clock deadline is armed. Under
 /// them the result is **bit-identical** to the full walk: a leveled
 /// node's predecessors sit at strictly lower levels, so by induction
-/// every value a cone node reads is final — freshly recomputed if the
-/// predecessor is itself in the cone, the snapshot value otherwise —
-/// and the per-node evaluation reproduces [`compute_node`]'s arithmetic
-/// arc for arc. The returned flag says whether some cone node's rise or
-/// fall arrival changed finiteness, the one change that can move a
-/// residue's divergence verdict.
+/// every row a cone node reads is final — freshly re-evaluated if the
+/// predecessor is itself in the cone, the snapshot row otherwise — and
+/// [`eval_node`] does the rest. The returned flag says whether some cone
+/// node's rise or fall arrival changed finiteness, the one change that
+/// can move a residue's divergence verdict.
 pub(crate) fn propagate_cone(
     graph: &TimingGraph,
     sources: &[NodeId],
@@ -541,97 +540,55 @@ pub(crate) fn propagate_cone(
     slope: &SlopeModel,
     cone: &[u32],
     arr: &mut Arrivals,
-    ws: &mut Workspace,
 ) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
-    let n = graph.node_count();
-    debug_assert_eq!(arr.rise.len(), n);
-
-    let is_source = &mut ws.is_source;
-    is_source.clear();
-    is_source.resize(n, false);
-    for &s in sources {
-        is_source[s.index()] = true;
-    }
+    let rows = &mut arr.rows;
+    debug_assert_eq!(rows.len(), graph.node_count());
+    let is_source = node_mask(rows.len(), sources.iter().map(|s| s.index()));
 
     // Certified steps never change arc structure, so the snapshot's
     // predecessor arc ids are the current graph's; cone rows are
     // overwritten below, every other row is already final.
-    let mut cone_relax = 0u64;
+    let mut cone_relax = 0usize;
     let mut flipped = false;
     for &nd in cone {
         let ni = nd as usize;
-        let mut s = Slot::init(is_source[ni]);
-        for &ai in graph.in_arcs_of_index(ni) {
-            let arc = &graph.arcs[ai as usize];
-            let fi = arc.from.index();
-            let from = Slot {
-                rise: arr.rise[fi],
-                fall: arr.fall[fi],
-                trans_rise: arr.trans_rise[fi],
-                trans_fall: arr.trans_fall[fi],
-                pred_rise: None,
-                pred_fall: None,
-            };
-            relax(&mut s, arc, ai, &from, slope);
-            cone_relax += 1;
-        }
-        flipped |= s.rise.is_finite() != arr.rise[ni].is_finite()
-            || s.fall.is_finite() != arr.fall[ni].is_finite();
-        arr.rise[ni] = s.rise;
-        arr.fall[ni] = s.fall;
-        arr.trans_rise[ni] = s.trans_rise;
-        arr.trans_fall[ni] = s.trans_fall;
-        arr.pred_rise[ni] = s.pred_rise;
-        arr.pred_fall[ni] = s.pred_fall;
+        let (row, relaxed) = eval_node(graph, slope, rows, is_source[ni], ni);
+        let old = &rows[ni];
+        flipped |= row.rise.is_finite() != old.rise.is_finite()
+            || row.fall.is_finite() != old.fall.is_finite();
+        rows[ni] = row;
+        cone_relax += relaxed;
     }
 
     // The work counters record the cone's *actual* work — that shrinkage
     // is the warm path's whole point.
     let cone_nodes = cone.len() as u64;
-    tv_obs::add(tv_obs::Counter::PropagateRelaxations, cone_relax);
+    tv_obs::add(tv_obs::Counter::PropagateRelaxations, cone_relax as u64);
     tv_obs::add(tv_obs::Counter::PropagateNodes, cone_nodes);
     tv_obs::incr(tv_obs::Counter::PropagateCases);
     tv_obs::add(tv_obs::Counter::ConeNodes, cone_nodes);
 
-    let mut eps: Vec<(NodeId, f64)> = endpoints
-        .iter()
-        .filter_map(|&e| arr.arrival(e).map(|t| (e, t)))
-        .collect();
-    eps.sort_by(|a, b| b.1.total_cmp(&a.1));
-
-    let result = PhaseResult {
-        case: graph.case,
-        arrivals: arr.clone(),
-        endpoints: eps,
-        cyclic: false,
-        // Charge-equivalent, not actual: `PhaseResult::relaxations`
-        // feeds the frozen report fingerprint, and the full engine
-        // charges one relaxation per in-arc whether a node recomputes
-        // or is served from the snapshot — one per arc in total on a
-        // leveled graph (the caller restores a diverged residue case's
-        // own figure). The obs counters above record what the cone
-        // really did.
-        relaxations: graph.arcs.len(),
-        completion: Completion::Complete,
-        unresolved: Vec::new(),
-        diagnostics: Vec::new(),
-    };
+    // Charge-equivalent relaxations, not actual: `PhaseResult::relaxations`
+    // feeds the frozen report fingerprint, and the full walk charges one
+    // relaxation per in-arc whether a node recomputes or is served from
+    // the snapshot — one per arc in total on a leveled graph (the caller
+    // restores a diverged residue case's own figure). The obs counters
+    // above record what the cone really did.
+    let result = PhaseResult::complete(graph.case, arr.clone(), endpoints, graph.arcs.len());
     (result, flipped)
 }
 
-/// The full engine — levelized walk, then residue worklist — under
-/// explicit resource [`Guards`] and with a reusable [`Workspace`].
-/// Guard exhaustion is not an error: the result carries whatever was
-/// computed, with [`PhaseResult::completion`] and
+/// The full walk — levels, then residue — under explicit resource
+/// [`Guards`]. Guard exhaustion is not an error: the result carries
+/// whatever was computed, with [`PhaseResult::completion`] and
 /// [`PhaseResult::unresolved`] describing what is missing. `fault` is
 /// called with each node index before evaluation; tests use a panicking
 /// hook to exercise level isolation, production callers pass `None`.
 ///
 /// The returned flag says the residue screen diverged on a walk with
 /// no panicked node: the residue rows then sit at their seed values, a
-/// state the cone engine can serve later certified steps from.
-#[allow(clippy::too_many_arguments)]
+/// state the cone walk can serve later certified steps from.
 pub(crate) fn propagate_full(
     netlist: &Netlist,
     graph: &TimingGraph,
@@ -639,7 +596,6 @@ pub(crate) fn propagate_full(
     endpoints: &[NodeId],
     slope: &SlopeModel,
     guards: Guards,
-    ws: &mut Workspace,
     fault: Option<&dyn Fn(u32)>,
 ) -> (PhaseResult, bool) {
     let _span = tv_obs::span("propagate");
@@ -647,36 +603,24 @@ pub(crate) fn propagate_full(
     let sched = &graph.schedule;
     debug_assert_eq!(sched.order.len() + sched.residue.len(), n);
 
-    let Workspace {
-        is_source,
-        slot_of,
-        slots,
-        in_residue,
-        queued,
-        queue,
-    } = ws;
-    is_source.clear();
-    is_source.resize(n, false);
-    for &s in sources {
-        is_source[s.index()] = true;
-    }
-
-    // Slot permutation: leveled nodes in level order, then residue.
-    slot_of.clear();
-    slot_of.resize(n, 0);
-    slots.clear();
-    slots.reserve(n);
-    for (slot, &nd) in sched.order.iter().chain(sched.residue.iter()).enumerate() {
-        slot_of[nd as usize] = slot as u32;
-        slots.push(Slot::init(is_source[nd as usize]));
-    }
-
-    let ctx = Ctx {
-        graph,
-        slope,
-        slot_of: slot_of.as_slice(),
-        is_source: is_source.as_slice(),
-        fault,
+    let is_source = node_mask(n, sources.iter().map(|s| s.index()));
+    let mut rows: Vec<Row> = is_source.iter().map(|&s| Row::seed(s)).collect();
+    // The walk's evaluation of one node: the fault probes, then the
+    // shared `eval_node`. Every call runs under `catch_unwind`.
+    let eval = |rows: &[Row], t: u32| {
+        if let Some(hook) = fault {
+            hook(t);
+        }
+        // Fault plane: a forced panic, caught by the same isolation
+        // that contains a genuine one.
+        if tv_fault::fault_point!(tv_fault::Site::PropagateWorker) {
+            tv_obs::incr(tv_obs::Counter::FaultInjected);
+            panic!(
+                "{}",
+                tv_fault::panic_message(tv_fault::Site::PropagateWorker)
+            );
+        }
+        eval_node(graph, slope, rows, is_source[t as usize], t as usize)
     };
 
     let mut relaxations = 0usize;
@@ -684,7 +628,7 @@ pub(crate) fn propagate_full(
     let mut panicked: Vec<u32> = Vec::new();
     let mut deadline_hit_at: Option<usize> = None;
     // Fault plane: forced early exhaustion of the deadline clock,
-    // expressed deterministically (slot 0, never a wall-clock read) so
+    // expressed deterministically (level 0, never a wall-clock read) so
     // the PARTIAL RESULTS path it exercises is golden-able.
     if tv_fault::fault_point!(tv_fault::Site::ExhaustClock) {
         tv_obs::incr(tv_obs::Counter::FaultInjected);
@@ -694,37 +638,34 @@ pub(crate) fn propagate_full(
         if deadline_hit_at.is_some() {
             break;
         }
-        let lo = sched.level_starts[l] as usize;
-        let hi = sched.level_starts[l + 1] as usize;
         if let Some(dl) = guards.deadline {
             if Instant::now() >= dl {
-                deadline_hit_at = Some(lo);
+                deadline_hit_at = Some(sched.level_starts[l] as usize);
                 break;
             }
         }
-        let width = hi - lo;
-        let targets = &sched.order[lo..hi];
-        let (done, rest) = slots.split_at_mut(lo);
-        let level_out = &mut rest[..width];
-        // First attempt: the fast path, the whole level in one go. A
-        // panic is caught and leaves the level to the degraded pass below.
+        let level = sched.level(l);
+        // First attempt: the fast path, the whole level in one go, each
+        // row written in place. A panic is caught and leaves the level
+        // to the degraded pass below.
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut relaxed = 0usize;
-            for (out, &t) in level_out.iter_mut().zip(targets) {
-                let (s, r) = compute_node(ctx, done, t);
-                *out = s;
-                relaxed += r as usize;
+            for &t in level {
+                let (row, r) = eval(&rows, t);
+                rows[t as usize] = row;
+                relaxed += r;
             }
             relaxed
         }));
         match attempt {
             Ok(relaxed) => relaxations += relaxed,
             Err(_) => {
-                // Degraded pass: recompute the whole level serially with
-                // per-node isolation. `compute_node` is pure in the
-                // finished prefix, so nodes that evaluate cleanly get
-                // bit-identical values to an untroubled run; nodes that
-                // panic again deterministically resolve to "no arrival".
+                // Degraded pass: re-evaluate the whole level with
+                // per-node isolation. A level reads only earlier levels,
+                // so nodes that evaluate cleanly get bit-identical values
+                // to an untroubled run (rows the first attempt wrote are
+                // rewritten with the same bits); nodes that panic again
+                // deterministically resolve to "no arrival".
                 tv_obs::incr(tv_obs::Counter::FaultDegraded);
                 diagnostics.push(Diagnostic::warning(
                     codes::ANALYSIS_WORKER_PANIC,
@@ -732,36 +673,31 @@ pub(crate) fn propagate_full(
                         "a propagation worker panicked on level {l}; level recomputed serially"
                     ),
                 ));
-                let (done, rest) = slots.split_at_mut(lo);
-                let level_out = &mut rest[..width];
-                for (out, &t) in level_out.iter_mut().zip(targets) {
-                    match catch_unwind(AssertUnwindSafe(|| compute_node(ctx, done, t))) {
-                        Ok((s, r)) => {
-                            *out = s;
-                            relaxations += r as usize;
+                for &t in level {
+                    let row = match catch_unwind(AssertUnwindSafe(|| eval(&rows, t))) {
+                        Ok((row, r)) => {
+                            relaxations += r;
+                            row
                         }
                         Err(_) => {
-                            *out = Slot::init(ctx.is_source[t as usize]);
                             panicked.push(t);
+                            Row::seed(is_source[t as usize])
                         }
-                    }
+                    };
+                    rows[t as usize] = row;
                 }
             }
         }
     }
 
     // Residue: the budgeted serial worklist, seeded with residue sources
-    // and every node feeding a residue node (their slots are final).
+    // and every node feeding a residue node (their rows are final).
     let mut cyclic = false;
     let mut diverged = false;
     let mut residue_deadline_hit = false;
     if !sched.residue.is_empty() && deadline_hit_at.is_none() {
-        in_residue.clear();
-        in_residue.resize(n, false);
-        for &r in &sched.residue {
-            in_residue[r as usize] = true;
-        }
-        if residue_diverges(graph, slots, slot_of, in_residue, &sched.residue) {
+        let in_residue = node_mask(n, sched.residue.iter().map(|&r| r as usize));
+        if residue_diverges(graph, &rows, &in_residue, &sched.residue) {
             // A finite arrival reaches a positive-delay cycle: max-
             // relaxation has no fixpoint, every lap raises the cycle's
             // arrivals further. Flag the cycle immediately instead of
@@ -771,9 +707,8 @@ pub(crate) fn propagate_full(
             cyclic = true;
             diverged = true;
         } else {
-            queue.clear();
-            queued.clear();
-            queued.resize(n, false);
+            let mut queue: VecDeque<u32> = VecDeque::new();
+            let mut queued = vec![false; n];
             let enqueue = |node: usize, queue: &mut VecDeque<u32>, queued: &mut [bool]| {
                 if !queued[node] {
                     queued[node] = true;
@@ -782,12 +717,12 @@ pub(crate) fn propagate_full(
             };
             for &r in &sched.residue {
                 if is_source[r as usize] {
-                    enqueue(r as usize, queue, queued);
+                    enqueue(r as usize, &mut queue, &mut queued);
                 }
             }
             for a in &graph.arcs {
                 if in_residue[a.to.index()] {
-                    enqueue(a.from.index(), queue, queued);
+                    enqueue(a.from.index(), &mut queue, &mut queued);
                 }
             }
 
@@ -812,14 +747,14 @@ pub(crate) fn propagate_full(
                         }
                     }
                 }
-                let from = slots[slot_of[ni] as usize];
+                let from = rows[ni];
                 for &ai in graph.out_arcs_of_index(ni) {
                     let arc = &graph.arcs[ai as usize];
                     let to = arc.to.index();
-                    let improved = relax(&mut slots[slot_of[to] as usize], arc, ai, &from, slope);
+                    let improved = relax(&mut rows[to], arc, ai, &from, slope);
                     residue_relax += 1;
                     if improved {
-                        enqueue(to, queue, queued);
+                        enqueue(to, &mut queue, &mut queued);
                     }
                 }
             }
@@ -831,45 +766,14 @@ pub(crate) fn propagate_full(
     tv_obs::add(tv_obs::Counter::PropagateNodes, n as u64);
     tv_obs::incr(tv_obs::Counter::PropagateCases);
 
-    // Back from slot order to node order.
-    let mut arr = Arrivals {
-        rise: vec![f64::NEG_INFINITY; n],
-        fall: vec![f64::NEG_INFINITY; n],
-        trans_rise: vec![0.0; n],
-        trans_fall: vec![0.0; n],
-        pred_rise: vec![None; n],
-        pred_fall: vec![None; n],
-    };
-    for node in 0..n {
-        let s = &slots[slot_of[node] as usize];
-        arr.rise[node] = s.rise;
-        arr.fall[node] = s.fall;
-        arr.trans_rise[node] = s.trans_rise;
-        arr.trans_fall[node] = s.trans_fall;
-        arr.pred_rise[node] = s.pred_rise;
-        arr.pred_fall[node] = s.pred_fall;
-    }
-
-    let mut eps: Vec<(NodeId, f64)> = endpoints
-        .iter()
-        .filter_map(|&e| arr.arrival(e).map(|t| (e, t)))
-        .collect();
-    eps.sort_by(|a, b| b.1.total_cmp(&a.1));
-
     // Guard accounting: name what is missing and why. All of this is on
     // exhaustion/degradation paths only — a clean run allocates nothing.
-    let ids: Vec<NodeId> =
-        if deadline_hit_at.is_some() || residue_deadline_hit || cyclic || !panicked.is_empty() {
-            netlist.node_ids().collect()
-        } else {
-            Vec::new()
-        };
+    let id = |&nd: &u32| NodeId::from_index(nd as usize);
     let mut unresolved: Vec<NodeId> = Vec::new();
     let mut completion = Completion::Complete;
-    if let Some(from_slot) = deadline_hit_at {
+    if let Some(from) = deadline_hit_at {
         completion = Completion::DeadlineExceeded;
-        unresolved.extend(sched.order[from_slot..].iter().map(|&nd| ids[nd as usize]));
-        unresolved.extend(sched.residue.iter().map(|&nd| ids[nd as usize]));
+        unresolved.extend(sched.order[from..].iter().chain(&sched.residue).map(id));
         diagnostics.push(Diagnostic::warning(
             codes::ANALYSIS_DEADLINE,
             format!(
@@ -883,7 +787,7 @@ pub(crate) fn propagate_full(
         } else {
             Completion::DeadlineExceeded
         };
-        unresolved.extend(sched.residue.iter().map(|&nd| ids[nd as usize]));
+        unresolved.extend(sched.residue.iter().map(id));
         let (code, what) = if cyclic {
             (
                 codes::ANALYSIS_BUDGET_EXHAUSTED,
@@ -903,29 +807,26 @@ pub(crate) fn propagate_full(
             ),
         ));
     }
-    for &t in &panicked {
-        let id = ids[t as usize];
+    for t in &panicked {
+        let node = id(t);
         diagnostics.push(Diagnostic::error(
             codes::ANALYSIS_WORKER_PANIC,
             format!(
                 "evaluation of node {:?} panicked; node left unresolved",
-                netlist.node_name(id)
+                netlist.node_name(node)
             ),
         ));
-        unresolved.push(id);
+        unresolved.push(node);
     }
     unresolved.sort_unstable();
     unresolved.dedup();
 
     let result = PhaseResult {
-        case: graph.case,
-        arrivals: arr,
-        endpoints: eps,
         cyclic,
-        relaxations,
         completion,
         unresolved,
         diagnostics,
+        ..PhaseResult::complete(graph.case, Arrivals { rows }, endpoints, relaxations)
     };
     (result, diverged && panicked.is_empty())
 }
@@ -1118,7 +1019,6 @@ mod tests {
             &[n2],
             &SlopeModel::calibrated(),
             guards,
-            &mut Workspace::new(),
             None,
         )
         .0;
@@ -1135,14 +1035,19 @@ mod tests {
 
     #[test]
     fn panicked_evaluation_degrades_to_no_arrival_with_diagnostic() {
+        // Two independent chains, a -> x -> y and u -> v -> w. x and v
+        // share a level with x first, so poisoning x panics the level
+        // before any sibling row is written, and poisoning v panics it
+        // after x's row was written in place.
         let mut b = NetlistBuilder::new(Tech::nmos4um());
         let a = b.input("a");
         let x = b.node("x");
         let y = b.output("y");
-        let (u, v) = (b.input("u"), b.output("v"));
+        let (u, v, w) = (b.input("u"), b.node("v"), b.output("w"));
         b.inverter("i1", a, x);
         b.inverter("i2", x, y);
         b.inverter("iu", u, v);
+        b.inverter("iv", v, w);
         let nl = b.finish().unwrap();
         let flow = analyze(&nl, &RuleSet::all());
         let q = qualify_with_flow(&nl, &flow);
@@ -1154,37 +1059,62 @@ mod tests {
             DelayModel::Elmore,
             1.0,
         );
-        let bad = x.index() as u32;
-        let hook = move |n: u32| {
-            if n == bad {
-                panic!("injected fault");
-            }
-        };
-        let r = propagate_full(
-            &nl,
-            &g,
-            &[a, u],
-            &[y, v],
-            &SlopeModel::calibrated(),
-            Guards::default(),
-            &mut Workspace::new(),
-            Some(&hook),
-        )
-        .0;
-        // The poisoned node and its downstream have no arrival, the
-        // independent path is untouched, and the event is on record.
-        assert_eq!(r.arrival(x), None);
-        assert_eq!(r.arrival(y), None);
-        assert!(r.arrival(v).is_some());
-        assert!(r.unresolved.contains(&x));
-        assert!(r
-            .diagnostics
-            .iter()
-            .any(|d| d.code == tv_netlist::codes::ANALYSIS_WORKER_PANIC));
+        let (xi, vi) = (x.index() as u32, v.index() as u32);
+        let level = (0..g.schedule.levels())
+            .map(|l| g.schedule.level(l))
+            .find(|lv| lv.contains(&vi))
+            .unwrap();
+        let pos = |t: u32| level.iter().position(|&n| n == t);
+        assert!(
+            matches!((pos(xi), pos(vi)), (Some(i), Some(j)) if i < j),
+            "x must precede v in their shared level"
+        );
+
+        let slope = SlopeModel::calibrated();
+        let clean = propagate(&nl, &g, &[a, u], &[y, w], &slope);
+        for (bad, fanout, other_end) in [(x, y, w), (v, w, y)] {
+            let bad_index = bad.index() as u32;
+            let hook = move |n: u32| {
+                if n == bad_index {
+                    panic!("injected fault");
+                }
+            };
+            let r = propagate_full(
+                &nl,
+                &g,
+                &[a, u],
+                &[y, w],
+                &slope,
+                Guards::default(),
+                Some(&hook),
+            )
+            .0;
+            // The poisoned node and its fanout have no arrival, every
+            // other row matches a clean run, and the event is on record.
+            let cone = [bad.index(), fanout.index()];
+            assert_rows_identical(&clean.arrivals, &r.arrivals, |i| !cone.contains(&i));
+            assert_eq!((r.arrival(bad), r.arrival(fanout)), (None, None));
+            assert!(r.arrival(other_end).is_some());
+            assert_eq!(r.unresolved, vec![bad]);
+            let diags: Vec<_> = r.diagnostics.iter().map(|d| (d.code, d.severity)).collect();
+            assert_eq!(
+                diags,
+                [
+                    (
+                        tv_netlist::codes::ANALYSIS_WORKER_PANIC,
+                        tv_netlist::Severity::Warning
+                    ),
+                    (
+                        tv_netlist::codes::ANALYSIS_WORKER_PANIC,
+                        tv_netlist::Severity::Error
+                    ),
+                ]
+            );
+        }
     }
 
     #[test]
-    fn degraded_run_is_bit_identical_across_repeats_and_workspace_reuse() {
+    fn degraded_run_is_bit_identical_across_repeats() {
         let (nl, kick, n2) = ring();
         let flow = analyze(&nl, &RuleSet::all());
         let q = qualify_with_flow(&nl, &flow);
@@ -1202,8 +1132,7 @@ mod tests {
                 panic!("injected fault");
             }
         };
-        let mut reused = Workspace::new();
-        let run = |ws: &mut Workspace| {
+        let run = || {
             propagate_full(
                 &nl,
                 &g,
@@ -1211,26 +1140,43 @@ mod tests {
                 &[n2],
                 &SlopeModel::calibrated(),
                 Guards::default(),
-                ws,
                 Some(&hook),
             )
             .0
         };
-        let fresh = run(&mut Workspace::new());
-        let first = run(&mut reused);
-        let again = run(&mut reused);
-        for r in [&first, &again] {
-            assert_eq!(fresh.arrivals.rise, r.arrivals.rise);
-            assert_eq!(fresh.arrivals.fall, r.arrivals.fall);
-            assert_eq!(fresh.unresolved, r.unresolved);
-            assert_eq!(fresh.diagnostics, r.diagnostics);
-        }
+        let first = run();
+        let again = run();
+        assert_rows_identical(&first.arrivals, &again.arrivals, |_| true);
+        assert_eq!(first.unresolved, again.unresolved);
+        assert_eq!(first.diagnostics, again.diagnostics);
         // The poisoned node is a source, so its degraded seed is what a
-        // clean evaluation gives it: every arrival matches a clean run,
-        // and only the unresolved list records the panic.
+        // clean evaluation gives it: every row matches a clean run, and
+        // only the unresolved list records the panic.
         let clean = propagate(&nl, &g, &[kick], &[n2], &SlopeModel::calibrated());
-        assert_eq!(clean.arrivals.rise, fresh.arrivals.rise);
-        assert_eq!(clean.arrivals.fall, fresh.arrivals.fall);
-        assert!(fresh.unresolved.contains(&kick) && !clean.unresolved.contains(&kick));
+        assert_rows_identical(&clean.arrivals, &first.arrivals, |_| true);
+        assert!(first.unresolved.contains(&kick) && !clean.unresolved.contains(&kick));
+    }
+
+    impl Row {
+        /// The row's six fields as comparable bits: the four times by
+        /// `to_bits`, each pred as `(arc, from_edge)`.
+        pub(crate) fn bits(&self) -> ([u64; 4], [Option<(u32, Edge)>; 2]) {
+            let pred = |p: Option<Pred>| p.map(|p| (p.arc, p.from_edge));
+            (
+                [self.rise, self.fall, self.trans_rise, self.trans_fall].map(f64::to_bits),
+                [pred(self.pred_rise), pred(self.pred_fall)],
+            )
+        }
+    }
+
+    /// Asserts every row `keep` selects is bit-identical in all six
+    /// fields across `a` and `b`.
+    fn assert_rows_identical(a: &Arrivals, b: &Arrivals, keep: impl Fn(usize) -> bool) {
+        assert_eq!(a.rows.len(), b.rows.len());
+        for (i, (x, y)) in a.rows.iter().zip(&b.rows).enumerate() {
+            if keep(i) {
+                assert_eq!(x.bits(), y.bits(), "row {i} differs");
+            }
+        }
     }
 }
